@@ -23,13 +23,15 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .forwarding import ForwardingState, Outcome, Trace, trace_stats
-from .shortcut import FixpointResult, shortcut_fixpoint
+from .forwarding import ForwardingState, Outcome, Trace
+from .shortcut import FixpointResult, revert_changes, shortcut_fixpoint
 from .topology import (
     FailureSet,
     Flow,
     Topology,
+    bfs_distances,
     canon_link,
+    residual_adjacency,
     shortest_path_length,
     shortest_route,
 )
@@ -40,6 +42,10 @@ def stretch(trace: Trace, topology: Topology, failures: FailureSet, flow: Flow) 
     if trace.outcome is not Outcome.DELIVERED:
         raise ValueError("stretch is defined for delivered traces only")
     optimal = shortest_path_length(topology, failures, flow.source, flow.destination)
+    return _over_optimal(trace, optimal)
+
+
+def _over_optimal(trace: Trace, optimal: int | None) -> float:
     if not optimal:
         raise ValueError("destination unreachable in residual graph")
     return trace.hop_count / optimal
@@ -134,8 +140,7 @@ class SweepReport:
 def _check_case(case: CaseResult, fp: FixpointResult, check_rounds: bool) -> None:
     initial = fp.initial_trace
     final = fp.final_trace
-    stats0 = trace_stats(initial)
-    case.looped_before = bool(stats0.looped_nodes)
+    case.looped_before = not initial.is_simple()
     case.rounds = fp.rounds
     case.hops_before = initial.hop_count
     case.hops_after = final.hop_count
@@ -148,17 +153,14 @@ def _check_case(case: CaseResult, fp: FixpointResult, check_rounds: bool) -> Non
     case.simple_after = final.is_simple()
     if not case.simple_after:
         case.violations.append("not_simple")
-    edges0 = set(initial.directed_edges())
-    case.subpath_of_initial = set(final.directed_edges()) <= edges0
+    loads0 = link_loads([initial])
+    loads1 = link_loads([final])
+    case.subpath_of_initial = loads1.keys() <= loads0.keys()
     if not case.subpath_of_initial:
         case.violations.append("not_subpath")
 
-    loads0 = link_loads([initial])
-    loads1 = link_loads([final])
-    case.loads_monotone = all(loads1.get(e, 0) <= loads0.get(e, 0) for e in edges0)
-    case.loads_strictly_reduced = any(
-        loads1.get(e, 0) < loads0[e] for e in loads0
-    )
+    case.loads_monotone = all(loads1.get(e, 0) <= n for e, n in loads0.items())
+    case.loads_strictly_reduced = any(loads1.get(e, 0) < n for e, n in loads0.items())
     if not case.loads_monotone:
         case.violations.append("load_increase")
     if case.looped_before and not case.loads_strictly_reduced:
@@ -180,22 +182,31 @@ def run_failure_sweep(
 ) -> SweepReport:
     """Run the shortcut fixpoint for every (flow, failure) pair and verify it.
 
-    ``compile_state`` returns the pristine state for a flow; each case works
-    on its own copy. Cases where the base reroute already fails to deliver
-    are reported as frr_failed and excluded from the guarantee checks.
+    ``compile_state`` returns the pristine state for a flow; it is called
+    once per flow and its result is never modified. The flow's cases share
+    one working copy: after each case, the rule changes its fixpoint
+    recorded are undone in reverse order, and a case that raised before
+    its fixpoint returned gets a fresh copy instead. Residual shortest-path
+    distances are computed once per (failure, destination) and shared by
+    every case that needs them. Cases where the base reroute already fails
+    to deliver are reported as frr_failed and excluded from the guarantee
+    checks.
     """
     cases: list[CaseResult] = []
     violations: dict[str, int] = {}
+    labels = [failures.label() for failures in failure_sets]
+    distances: dict[tuple[int, str], dict[str, int]] = {}
     for flow in flows:
         base = compile_state(flow)
-        for failures in failure_sets:
+        state = base.copy()
+        for index, failures in enumerate(failure_sets):
             if flow.source in failures.failed_nodes or (
                 flow.destination in failures.failed_nodes
             ):
                 continue
-            case = CaseResult(flow_id=flow.flow_id, failure=failures.label(), verdict="")
+            case = CaseResult(flow_id=flow.flow_id, failure=labels[index], verdict="")
+            fp = None
             try:
-                state = base.copy()
                 fp = shortcut_fixpoint(state, topology, failures, flow)
                 case.fixpoint = fp
                 if fp.initial_trace.outcome is not Outcome.DELIVERED:
@@ -203,13 +214,23 @@ def run_failure_sweep(
                     case.hops_before = fp.initial_trace.hop_count
                 else:
                     _check_case(case, fp, check_rounds)
-                    case.stretch_before = stretch(fp.initial_trace, topology, failures, flow)
+                    key = (index, flow.destination)
+                    if key not in distances:
+                        distances[key] = bfs_distances(
+                            residual_adjacency(topology, failures), flow.destination
+                        )
+                    optimal = distances[key].get(flow.source)
+                    case.stretch_before = _over_optimal(fp.initial_trace, optimal)
                     if fp.delivered:
-                        case.stretch_after = stretch(fp.final_trace, topology, failures, flow)
+                        case.stretch_after = _over_optimal(fp.final_trace, optimal)
             except Exception as exc:  # exceptions are violations, not aborts
                 case.verdict = "exception"
                 case.error = f"{type(exc).__name__}: {exc}"
                 case.violations.append("exception")
+            if fp is None:
+                state = base.copy()
+            else:
+                revert_changes(state, fp.all_changes())
             for kind in case.violations:
                 violations[kind] = violations.get(kind, 0) + 1
             cases.append(case)

@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 import os
 import sys
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from pathlib import Path
 
 import click
@@ -44,7 +44,6 @@ class ScenarioConfig:
     throughput: dict | None = None
     output_dir: str | None = None
     seed: int = 0
-    raw: dict = dc_field(default_factory=dict, repr=False, compare=False)
 
     @classmethod
     def from_dict(cls, data: dict) -> "ScenarioConfig":
@@ -67,7 +66,6 @@ class ScenarioConfig:
             throughput=dict(data["throughput"]) if data.get("throughput") else None,
             output_dir=data.get("output_dir"),
             seed=int(data.get("seed", 0)),
-            raw=data,
         )
         cfg._validate()
         return cfg

@@ -68,6 +68,21 @@ class RuleChange:
         }
 
 
+def revert_changes(state: ForwardingState, changes: list[RuleChange]) -> None:
+    """Undo recorded rule changes, newest first, restoring the prior state.
+
+    Exact because the truncation steps in this module record only what
+    they changed: a truncation stores the start it overwrote, and a pin
+    is recorded only when the inport was not pinned before.
+    """
+    for change in reversed(changes):
+        table = state.tables[change.node]
+        if change.kind == "pin":
+            table.pinned.discard(change.inport)
+        else:
+            table.inport_start[change.inport] = change.old_start
+
+
 def observations_from_trace(
     state: ForwardingState,
     topology: Topology,

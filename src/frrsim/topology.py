@@ -170,7 +170,7 @@ class FailureSet:
 
     def validate(self, topology: Topology) -> None:
         for link in self.failed_links:
-            if link not in set(topology.links):
+            if not topology.has_link(*link):
                 raise ValueError(f"failed link {link} does not exist")
         for node in self.failed_nodes:
             if not topology.has_node(node):

@@ -10,7 +10,9 @@ from frrsim import (
     Topology,
     build_topology,
     compile_arborescence_frr,
+    compile_greedy_frr,
     compile_partition_frr,
+    compute_disjoint_paths,
     decompose_arborescences,
     link_loads,
     maxmin_throughput,
@@ -19,6 +21,7 @@ from frrsim import (
     shortcut_fixpoint,
     stretch,
 )
+from frrsim import analysis
 from frrsim.analysis import (
     background_flow_plan,
     build_flow_plan,
@@ -103,6 +106,155 @@ class TestSweep:
         lines = report_csv(report).splitlines()
         assert lines[0] == "flow,failure,verdict,hops_before,hops_after,stretch_before,stretch_after,rounds"
         assert lines[1] == "S->D,link:S2-S4,delivered,6,4,1.5,1,1"
+
+
+SCHEME_COMPILERS = {
+    "arborescence": lambda t: arborescence_compiler(t, 4),
+    "partition": lambda t: lambda flow: compile_partition_frr(
+        t, compute_disjoint_paths(t, flow, 2), flow
+    ),
+    "greedy": lambda t: lambda flow: compile_greedy_frr(t, flow),
+}
+
+
+def all_pairs(topology, sources=None):
+    return [Flow(a, b) for a in sources or topology.nodes for b in topology.nodes if a != b]
+
+
+def reference_cases(topology, compile_state, flows, failure_sets):
+    """Each case alone: a fresh compile and fixpoint, nothing shared."""
+    out = []
+    for flow in flows:
+        for failures in failure_sets:
+            (case,) = run_failure_sweep(topology, compile_state, [flow], [failures]).cases
+            fp = shortcut_fixpoint(compile_state(flow), topology, failures, flow)
+            out.append((case, fp))
+    return out
+
+
+def assert_matches_reference(report, reference):
+    assert len(report.cases) == len(reference)
+    for case, (ref_case, ref_fp) in zip(report.cases, reference):
+        assert case == ref_case
+        assert case.fixpoint.traces == ref_fp.traces
+        assert case.fixpoint.changes_per_round == ref_fp.changes_per_round
+
+
+class TestSweepUndo:
+    """One working state per flow, restored from each case's audit log."""
+
+    @pytest.mark.parametrize(
+        "desc,scheme",
+        [("torus(3,3)", "arborescence"), ("torus(4,4)", "partition"), ("hypercube(3)", "greedy")],
+    )
+    def test_link_sweep_matches_fresh_state_per_case(self, desc, scheme):
+        t = build_topology(desc)
+        compile_state = SCHEME_COMPILERS[scheme](t)
+        # torus(4,4) all-pairs partition sweeps take seconds; four sources
+        # already reach cross-partition truncations.
+        flows = all_pairs(t, t.nodes[::4] if scheme == "partition" else None)
+        failure_sets = enumerate_link_failures(t)
+        compiled = []
+
+        def recording_compile(flow):
+            state = compile_state(flow)
+            compiled.append((state, state.to_json_dict()))
+            return state
+
+        report = run_failure_sweep(t, recording_compile, flows, failure_sets)
+        assert_matches_reference(report, reference_cases(t, compile_state, flows, failure_sets))
+        assert len(compiled) == len(flows)
+        for state, snapshot in compiled:
+            assert state.to_json_dict() == snapshot
+
+        pristine = {state.flow.flow_id: state for state, _ in compiled}
+        changes = [
+            (pristine[case.flow_id], c)
+            for case in report.cases
+            for c in case.fixpoint.all_changes()
+        ]
+        assert changes, "the sweep must exercise the undo path"
+        if scheme == "greedy":
+            assert any(c.kind == "pin" for _, c in changes)
+        if scheme == "partition":
+            tags = lambda st, c: st.tables[c.node].partition_tag
+            assert any(
+                tags(st, c)[c.old_start - 1] != tags(st, c)[c.new_start - 1]
+                for st, c in changes
+            )
+
+    def test_case_that_raises_mid_fixpoint_gets_a_fresh_state(self, monkeypatch):
+        t = build_topology("torus(3,3)")
+        compile_state = arborescence_compiler(t, 4)
+        flows = all_pairs(t, t.nodes[:2])
+        failure_sets = enumerate_link_failures(t)
+        reference = reference_cases(t, compile_state, flows, failure_sets)
+        real_fixpoint = analysis.shortcut_fixpoint
+        calls = []
+
+        def sabotaging_fixpoint(state, topology, failures, flow):
+            calls.append(failures)
+            if len(calls) == 5:
+                for table in state.tables.values():
+                    for inport in table.inport_start:
+                        table.inport_start[inport] = len(table.priority) + 1
+                raise RuntimeError("injected fault")
+            return real_fixpoint(state, topology, failures, flow)
+
+        monkeypatch.setattr(analysis, "shortcut_fixpoint", sabotaging_fixpoint)
+        report = run_failure_sweep(t, compile_state, flows, failure_sets)
+        broken = report.cases[4]
+        assert broken.verdict == "exception"
+        assert broken.error == "RuntimeError: injected fault"
+        assert report.violations_by_kind == {"exception": 1}
+        assert report.cases[5].flow_id == broken.flow_id
+        del report.cases[4], reference[4]
+        assert_matches_reference(report, reference)
+
+
+class TestSweepStretch:
+    """Residual distances shared per (failure, destination) equal stretch()."""
+
+    @pytest.mark.parametrize("kind", ["links", "nodes"])
+    def test_matches_stretch_per_case(self, kind):
+        t = build_topology("torus(3,3)")
+        if kind == "links":
+            failure_sets = enumerate_link_failures(t)
+        else:
+            failure_sets = enumerate_node_failures(t)
+        report = run_failure_sweep(
+            t, arborescence_compiler(t, 4), all_pairs(t), failure_sets,
+            check_rounds=kind == "links",
+        )
+        by_label = {fs.label(): fs for fs in failure_sets}
+        delivered = [c for c in report.cases if c.verdict == "delivered"]
+        assert len(delivered) == len(report.cases)
+        for case in delivered:
+            flow = Flow(*case.flow_id.split("->"))
+            failures = by_label[case.failure]
+            fp = case.fixpoint
+            assert case.stretch_before == stretch(fp.initial_trace, t, failures, flow)
+            assert case.stretch_after == stretch(fp.final_trace, t, failures, flow)
+
+    def test_residual_unreachable_is_an_exception_case(self, monkeypatch):
+        # A fixpoint blind to the failure delivers over the dead link, so
+        # the residual graph has no route to compare against.
+        t = Topology(["a", "b"], [("a", "b")])
+        real_fixpoint = analysis.shortcut_fixpoint
+        monkeypatch.setattr(
+            analysis,
+            "shortcut_fixpoint",
+            lambda state, topology, failures, flow: real_fixpoint(
+                state, topology, FailureSet.none(), flow
+            ),
+        )
+        report = run_failure_sweep(
+            t, arborescence_compiler(t, 1), [Flow("a", "b")], enumerate_link_failures(t)
+        )
+        (case,) = report.cases
+        assert case.verdict == "exception"
+        assert case.error == "ValueError: destination unreachable in residual graph"
+        assert report.violations_by_kind == {"exception": 1}
 
 
 class TestStretch:

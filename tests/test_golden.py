@@ -1,0 +1,110 @@
+"""Byte-identity gate: sha256 digests of the CLI artefacts for fixed scenarios.
+
+Speed-ups must leave every output byte-identical, so these digests only
+change with a deliberate behaviour change. Such a change updates the digests
+below and records why in CHANGES.md. Scenarios: both bundled configs
+(``run``, ``verify`` and, for figure1, ``timeline``), plus all-pairs link
+sweeps that exercise greedy pins (hypercube(3)) and partition-scoped
+truncation (k=2 on torus(3,3)).
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+from pathlib import Path
+
+import pytest
+from click.testing import CliRunner
+
+from frrsim import build_topology
+from frrsim.cli import main
+
+SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
+
+RUN_FILES = ("traces.json", "audit.jsonl", "report.csv", "report.json")
+
+
+def _all_pairs_sweep(topology: dict, scheme: dict) -> dict:
+    nodes = build_topology(topology).nodes
+    return {
+        "topology": topology,
+        "flows": [{"source": a, "destination": b} for a in nodes for b in nodes if a != b],
+        "scheme": scheme,
+        "failures": {"kind": "sweep_links"},
+    }
+
+
+GENERATED = {
+    "greedy_hypercube3": _all_pairs_sweep({"kind": "hypercube", "d": 3}, {"kind": "greedy"}),
+    "partition2_torus33": _all_pairs_sweep(
+        {"kind": "torus", "a": 3, "b": 3}, {"kind": "partition", "k": 2}
+    ),
+}
+
+# (scenario, command) -> (exit code, files whose digests are pinned)
+RUNS = {
+    ("figure1", "run"): (0, RUN_FILES),
+    ("figure1", "verify"): (0, ("verify.json",)),
+    ("figure1", "timeline"): (0, ("timeline.csv",)),
+    ("torus_sweep", "run"): (0, RUN_FILES),
+    ("torus_sweep", "verify"): (0, ("verify.json",)),
+    ("greedy_hypercube3", "run"): (0, ("report.json", "audit.jsonl")),
+    ("partition2_torus33", "run"): (1, ("report.json", "audit.jsonl")),
+}
+
+GOLDEN = {
+    ("figure1", "run"): {
+        "traces.json": "30058912188b820c77c4db46b58bcb0c0780c0368bf7aeef67aaf71974a1fddd",
+        "audit.jsonl": "7cca3c3ea30731dd766628217ba4b7df1bf418bab378d61f62626e8964f2e09a",
+        "report.csv": "bd01e2236c84cb6f331d527a6f9f67b42c13595fe7755fef2baecbcc8ebc7f89",
+        "report.json": "2662f1fee7c72bef705b2fcbeffbd736f3e26b687d53cc41abe397ad0242a32d",
+    },
+    ("figure1", "timeline"): {
+        "timeline.csv": "5c60010cc08349dfc498192efb533f0af84e4c1da7bf92339b0ae57c5c573272",
+    },
+    ("figure1", "verify"): {
+        "verify.json": "1bd575d9bf34f8f1099f048673af3a067479b1bc2a80bf7683393dd485cc6c7a",
+    },
+    ("greedy_hypercube3", "run"): {
+        "report.json": "bd7a8019db12a7affd3b819e41913b2dbb65c22f7a3cfdf54c2fecb049cbf8e3",
+        "audit.jsonl": "af5e81ad2248742d1b60b1b2560f306a8375c1e0eabfb4d89a4e784ffc308f00",
+    },
+    ("partition2_torus33", "run"): {
+        "report.json": "5261d283170e4ed2b230af2709aff856adc5cf69d687ea1d736f95230f0a3514",
+        "audit.jsonl": "57d043d54460252ba05e883d88789f7c21b18e5adab0bb0a01fced81b01813fa",
+    },
+    ("torus_sweep", "run"): {
+        "traces.json": "3e48102fe5e146ee198cd4278e1837ab389e62f2d22d10b27a6a450cf0b8df69",
+        "audit.jsonl": "9c16afce11f50a3b7aa77ee6891e2d1920b1e69c289e1b44ac1b23baf4ecf134",
+        "report.csv": "bbc5304be08e183842c2e511527c885028feb2df00738f8b8138db893307c439",
+        "report.json": "fe3674f8859e1e38fa9377e11caf928ffc28b6d9e751bd8da0b0cbe2a03e67fe",
+    },
+    ("torus_sweep", "verify"): {
+        "verify.json": "474210be466d7418d77288ba3fd390da61352563bb6d8e6b34b0dbab04ec793b",
+    },
+}
+
+
+def produce(scenario: str, command: str, tmp_path: Path) -> tuple[int, dict[str, str]]:
+    """Run one CLI command and return its exit code and per-file sha256."""
+    if scenario in GENERATED:
+        config = tmp_path / f"{scenario}.json"
+        config.write_text(json.dumps(GENERATED[scenario], indent=2, sort_keys=True) + "\n")
+    else:
+        config = SCENARIOS / f"{scenario}.json"
+    outdir = tmp_path / "out"
+    result = CliRunner().invoke(main, [command, str(config), "--output-dir", str(outdir)])
+    assert result.exception is None or isinstance(result.exception, SystemExit), result.output
+    _, files = RUNS[(scenario, command)]
+    return result.exit_code, {
+        name: hashlib.sha256((outdir / name).read_bytes()).hexdigest() for name in files
+    }
+
+
+@pytest.mark.parametrize("scenario,command", sorted(RUNS))
+def test_outputs_match_golden_digests(scenario, command, tmp_path):
+    code, digests = produce(scenario, command, tmp_path)
+    expected_code, _ = RUNS[(scenario, command)]
+    assert code == expected_code
+    assert digests == GOLDEN[(scenario, command)]

@@ -27,8 +27,10 @@ from frrsim.frr import PartitionScheme
 from frrsim.scenarios import FIGURE1_PATHS
 from frrsim.shortcut import (
     NodeObservation,
+    RuleChange,
     apply_truncation,
     observations_from_trace,
+    revert_changes,
 )
 
 
@@ -37,6 +39,31 @@ def figure1_state(figure1, figure1_flow):
     scheme = PartitionScheme(flow=figure1_flow, paths=FIGURE1_PATHS, relaxed=True)
     scheme.validate(figure1)
     return compile_partition_frr(figure1, scheme, figure1_flow)
+
+
+class TestRevertChanges:
+    def test_undoes_repeated_changes_newest_first(self, figure1_state):
+        before = figure1_state.to_json_dict()
+        table = figure1_state.tables["S1"]
+        changes = []
+        for new_start in (2, 3):
+            changes.append(
+                RuleChange("S1", "S", old_start=table.inport_start["S"], new_start=new_start)
+            )
+            table.inport_start["S"] = new_start
+        table.pinned.add("S2")
+        changes.append(RuleChange("S1", "S2", kind="pin", outport="S2"))
+        revert_changes(figure1_state, changes)
+        assert figure1_state.to_json_dict() == before
+
+    def test_undoes_a_fixpoint_from_its_audit_log(
+        self, figure1_state, figure1, figure1_flow, s2s4_failure
+    ):
+        before = figure1_state.to_json_dict()
+        fp = shortcut_fixpoint(figure1_state, figure1, s2s4_failure, figure1_flow)
+        assert fp.all_changes()
+        revert_changes(figure1_state, fp.all_changes())
+        assert figure1_state.to_json_dict() == before
 
 
 class TestObserveAndTruncate:

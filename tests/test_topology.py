@@ -189,6 +189,11 @@ class TestFailureSet:
         with pytest.raises(ValueError):
             FailureSet.of(nodes=["Z"]).validate(figure1)
 
+    def test_unknown_link_is_named_among_valid_ones(self, figure1):
+        FailureSet.of(links=[("S4", "S2"), ("D", "S4")]).validate(figure1)
+        with pytest.raises(ValueError, match=r"failed link \('D', 'S'\) does not exist"):
+            FailureSet.of(links=[("S2", "S4"), ("S", "D")]).validate(figure1)
+
     def test_labels_are_stable(self):
         fs = FailureSet.of(links=[("S2", "S4")], nodes=["H"])
         assert fs.label() == "link:S2-S4+node:H"
