@@ -43,15 +43,13 @@ class ScenarioConfig:
     failures: dict
     throughput: dict | None = None
     output_dir: str | None = None
-    seed: int = 0
 
     @classmethod
     def from_dict(cls, data: dict) -> "ScenarioConfig":
         if not isinstance(data, dict):
             raise ConfigError("scenario config must be a JSON object")
         unknown = set(data) - {
-            "topology", "flows", "scheme", "failures", "throughput",
-            "output_dir", "seed",
+            "topology", "flows", "scheme", "failures", "throughput", "output_dir",
         }
         if unknown:
             raise ConfigError(f"unknown config fields: {sorted(unknown)}")
@@ -65,7 +63,6 @@ class ScenarioConfig:
             failures=dict(data["failures"]),
             throughput=dict(data["throughput"]) if data.get("throughput") else None,
             output_dir=data.get("output_dir"),
-            seed=int(data.get("seed", 0)),
         )
         cfg._validate()
         return cfg
@@ -97,7 +94,6 @@ class ScenarioConfig:
             "flows": self.flows,
             "scheme": self.scheme,
             "failures": self.failures,
-            "seed": self.seed,
         }
         if self.throughput is not None:
             out["throughput"] = self.throughput
@@ -180,8 +176,8 @@ def _resolve_output_dir(config: ScenarioConfig, flag_value: str | None) -> Path:
     return path
 
 
-def _apply_overrides(config: ScenarioConfig, fail: str | None, scheme: str | None,
-                     seed: int | None) -> ScenarioConfig:
+def _apply_overrides(config: ScenarioConfig, fail: str | None,
+                     scheme: str | None) -> ScenarioConfig:
     if fail is not None:
         if fail.startswith("node:"):
             config.failures = {"kind": "explicit", "links": [], "nodes": [fail[5:]]}
@@ -193,8 +189,6 @@ def _apply_overrides(config: ScenarioConfig, fail: str | None, scheme: str | Non
     if scheme is not None:
         name, _, k = scheme.partition(":")
         config.scheme = {"kind": name, **({"k": int(k)} if k else {})}
-    if seed is not None:
-        config.seed = seed
     config._validate()
     return config
 
@@ -256,7 +250,6 @@ def main():
 _config_argument = click.argument("config_path", type=click.Path(exists=True, dir_okay=False))
 _fail_option = click.option("--fail", default=None, help="Override failure: 'a,b' link or 'node:x'.")
 _scheme_option = click.option("--scheme", default=None, help="Override scheme, e.g. arborescence:4.")
-_seed_option = click.option("--seed", default=None, type=int, help="Override the scenario seed.")
 _outdir_option = click.option("--output-dir", default=None, help="Output directory (or $FRRSIM_OUTPUT_DIR).")
 
 
@@ -264,13 +257,12 @@ _outdir_option = click.option("--output-dir", default=None, help="Output directo
 @_config_argument
 @_fail_option
 @_scheme_option
-@_seed_option
 @_outdir_option
 def cmd_run(config_path: str, fail: str | None, scheme: str | None,
-            seed: int | None, output_dir: str | None):
+            output_dir: str | None):
     """Execute a scenario and write traces, audit log, and reports."""
     try:
-        config = _apply_overrides(ScenarioConfig.load(config_path), fail, scheme, seed)
+        config = _apply_overrides(ScenarioConfig.load(config_path), fail, scheme)
         outdir = _resolve_output_dir(config, output_dir)
         report = _run_scenario(config)
     except (ConfigError, ValueError, frr.DecompositionError) as exc:
@@ -289,13 +281,12 @@ def cmd_run(config_path: str, fail: str | None, scheme: str | None,
 @_config_argument
 @_fail_option
 @_scheme_option
-@_seed_option
 @_outdir_option
 def cmd_verify(config_path: str, fail: str | None, scheme: str | None,
-               seed: int | None, output_dir: str | None):
+               output_dir: str | None):
     """Run the sweep and report {cases, violations_by_kind}; exit 0 iff clean."""
     try:
-        config = _apply_overrides(ScenarioConfig.load(config_path), fail, scheme, seed)
+        config = _apply_overrides(ScenarioConfig.load(config_path), fail, scheme)
         outdir = _resolve_output_dir(config, output_dir)
         report = _run_scenario(config)
     except (ConfigError, ValueError, frr.DecompositionError) as exc:

@@ -171,18 +171,15 @@ class ForwardingState:
             return None
         # Greedy: demote (or pin) the return edge, which is viable even when
         # it is not in the distance-ordered list.
-        suffix = [(idx, prio[idx - 1]) for idx in range(j, len(prio) + 1)]
-        ordered: list[tuple[int | None, str]] = []
-        if inport is not None and inport in tab.pinned:
-            ordered.append((self._index_of(prio, inport), inport))
-            ordered.extend((idx, out) for idx, out in suffix if out != inport)
-        else:
-            ordered.extend((idx, out) for idx, out in suffix if out != inport)
-            if inport is not None:
-                ordered.append((self._index_of(prio, inport), inport))
-        for idx, out in ordered:
-            if not dead(node, out):
+        pinned = inport is not None and inport in tab.pinned
+        if pinned and not dead(node, inport):
+            return inport, self._index_of(prio, inport)
+        for idx in range(j, len(prio) + 1):
+            out = prio[idx - 1]
+            if out != inport and not dead(node, out):
                 return out, idx
+        if inport is not None and not pinned and not dead(node, inport):
+            return inport, self._index_of(prio, inport)
         return None
 
     @staticmethod

@@ -37,7 +37,6 @@ def figure1_config() -> dict:
             "sample_step": 0.1,
             "horizon": 8.0,
         },
-        "seed": 0,
     }
 
 

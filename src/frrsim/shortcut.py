@@ -116,18 +116,10 @@ def observations_from_trace(
     return obs
 
 
-def _first_live(
-    table, node: str, dead, start: int, tag: int | None = None
-) -> int | None:
-    """Effective top of a suffix: first live entry at or after ``start``.
-
-    With ``tag`` given, only entries of that partition are considered (the
-    per-partition reading of "failed outports count as removed").
-    """
+def _first_live(table, node: str, dead, start: int) -> int | None:
+    """Effective top of a suffix: first live entry at or after ``start``."""
     prio = table.priority
     for idx in range(start, len(prio) + 1):
-        if tag is not None and table.partition_tag[idx - 1] != tag:
-            continue
         if not dead(node, prio[idx - 1]):
             return idx
     return None
@@ -138,16 +130,18 @@ def apply_truncation(
     topology: Topology,
     failures: FailureSet,
     observations: Observations,
-    partition_scoped: bool = False,
 ) -> list[RuleChange]:
     """Advance inport suffix starts to the lowest-priority observed outport.
 
     For every observed node and every one of its inports (used by the packet
     or not): find the largest observed index inside the inport's current
     suffix; if it lies beyond the suffix's first *live* entry, move the start
-    there. With ``partition_scoped``, comparisons stay within one partition
-    tag, and an observed outport of a later partition pulls all
-    earlier-partition inports directly to it.
+    there. The rule needs no partition awareness: partition failover lays
+    its entries out partition by partition, so tags never decrease along a
+    priority list and the first live entry is also the first live entry of
+    the earliest partition with one. An observed exit into a later
+    partition thus truncates only when it lies beyond that entry; when it
+    is that entry, the walk was a plain failover and the rule stays.
     """
     dead_links = failures.dead_links(topology)
 
@@ -157,43 +151,21 @@ def apply_truncation(
     changes: list[RuleChange] = []
     for node in sorted(observations):
         table = state.tables[node]
-        k = len(table.priority)
         node_obs = observations[node]
-        indexed = sorted(idx for (_, idx) in node_obs.exits if idx is not None)
-        if not indexed:
+        deepest = max((idx for (_, idx) in node_obs.exits if idx is not None), default=None)
+        if deepest is None:
             continue
         for inport in sorted(
             node_obs.inports, key=lambda p: ("", "") if p is None else ("x", p)
         ):
-            if inport not in table.inport_start:
+            j = table.inport_start.get(inport)
+            if j is None or deepest <= j:
                 continue
-            j = table.inport_start[inport]
-            if j > k:
-                continue
-            if partition_scoped:
-                tag = table.partition_tag[j - 1]
-                same = [
-                    i for i in indexed if i >= j and table.partition_tag[i - 1] == tag
-                ]
-                new_j = j
-                if same:
-                    top = _first_live(table, node, dead, j, tag=tag)
-                    if top is not None and max(same) > top:
-                        new_j = max(same)
-                later = [i for i in indexed if table.partition_tag[i - 1] > tag]
-                if later:
-                    new_j = max(new_j, max(later))
-            else:
-                within = [i for i in indexed if i >= j]
-                new_j = j
-                if within:
-                    top = _first_live(table, node, dead, j)
-                    if top is not None and max(within) > top:
-                        new_j = max(within)
-            if new_j != j:
-                table.inport_start[inport] = new_j
+            top = _first_live(table, node, dead, j)
+            if top is not None and deepest > top:
+                table.inport_start[inport] = deepest
                 changes.append(
-                    RuleChange(node=node, inport=inport, old_start=j, new_start=new_j)
+                    RuleChange(node=node, inport=inport, old_start=j, new_start=deepest)
                 )
     return changes
 
@@ -217,11 +189,10 @@ def partition_shortcut(
     failures: FailureSet,
     trace: Trace,
 ) -> list[RuleChange]:
-    """Partition-scoped truncation plus the ordered cross-partition jump."""
-    if state.mode != MODE_SUFFIX or not state.is_partition_tagged():
+    """Suffix truncation on partition-failover state (see ``apply_truncation``)."""
+    if not state.is_partition_tagged():
         raise ValueError("partition-tagged state required")
-    obs = observations_from_trace(state, topology, failures, trace)
-    return apply_truncation(state, topology, failures, obs, partition_scoped=True)
+    return observe_and_truncate(state, topology, failures, trace)
 
 
 def greedy_shortcut(
@@ -291,12 +262,7 @@ def shortcut_fixpoint(
     raised. Suffix starts only ever grow, so the iteration terminates within
     the total number of priority entries.
     """
-    if state.mode == MODE_GREEDY:
-        step = greedy_shortcut
-    elif state.is_partition_tagged():
-        step = partition_shortcut
-    else:
-        step = observe_and_truncate
+    step = greedy_shortcut if state.mode == MODE_GREEDY else observe_and_truncate
     bound = sum(len(t.priority) + 1 for t in state.tables.values()) + 1
 
     traces = [route(state, topology, failures, flow)]

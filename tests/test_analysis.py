@@ -163,6 +163,7 @@ class TestSweepUndo:
 
         report = run_failure_sweep(t, recording_compile, flows, failure_sets)
         assert_matches_reference(report, reference_cases(t, compile_state, flows, failure_sets))
+        assert report.violations_by_kind == {}
         assert len(compiled) == len(flows)
         for state, snapshot in compiled:
             assert state.to_json_dict() == snapshot

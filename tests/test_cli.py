@@ -41,10 +41,11 @@ class TestConfig:
             ScenarioConfig.load(str(path))
 
     def test_unknown_fields_rejected(self):
-        cfg = figure1_config()
-        cfg["bogus"] = 1
-        with pytest.raises(ConfigError, match="bogus"):
-            ScenarioConfig.from_dict(cfg)
+        for field in ("bogus", "seed"):
+            cfg = figure1_config()
+            cfg[field] = 1
+            with pytest.raises(ConfigError, match=rf"unknown config fields: \['{field}'\]"):
+                ScenarioConfig.from_dict(cfg)
 
     def test_random_topology_requires_seed(self):
         cfg = figure1_config()

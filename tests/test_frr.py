@@ -227,6 +227,19 @@ class TestPartitionCompile:
                 trace = route(state.copy(), t, failures, flow)
                 assert trace.outcome.value == "delivered", (flow.flow_id, failures.label())
 
+    @pytest.mark.parametrize("desc", ["torus(4,4)", "hypercube(4)", "complete(5)"])
+    def test_partition_tags_never_decrease_along_a_priority_list(self, desc):
+        # Suffix truncation relies on this: a later partition's entries sit
+        # after every entry of the partitions before it.
+        t = build_topology(desc)
+        for k in range(2, edge_connectivity(t) + 1):
+            for a, b in itertools.permutations(t.nodes, 2):
+                flow = Flow(a, b)
+                state = compile_partition_frr(t, compute_disjoint_paths(t, flow, k), flow)
+                for node, table in state.tables.items():
+                    tags = table.partition_tag or []
+                    assert tags == sorted(tags), (k, flow.flow_id, node)
+
     def test_mid_route_overlap_rejected_even_relaxed(self):
         t = Topology(
             ["s", "a", "b", "t"],

@@ -4,7 +4,7 @@ Speed-ups must leave every output byte-identical, so these digests only
 change with a deliberate behaviour change. Such a change updates the digests
 below and records why in CHANGES.md. Scenarios: both bundled configs
 (``run``, ``verify`` and, for figure1, ``timeline``), plus all-pairs link
-sweeps that exercise greedy pins (hypercube(3)) and partition-scoped
+sweeps that exercise greedy pins (hypercube(3)) and cross-partition
 truncation (k=2 on torus(3,3)).
 """
 
@@ -50,7 +50,7 @@ RUNS = {
     ("torus_sweep", "run"): (0, RUN_FILES),
     ("torus_sweep", "verify"): (0, ("verify.json",)),
     ("greedy_hypercube3", "run"): (0, ("report.json", "audit.jsonl")),
-    ("partition2_torus33", "run"): (1, ("report.json", "audit.jsonl")),
+    ("partition2_torus33", "run"): (0, ("report.json", "audit.jsonl")),
 }
 
 GOLDEN = {
@@ -71,8 +71,8 @@ GOLDEN = {
         "audit.jsonl": "af5e81ad2248742d1b60b1b2560f306a8375c1e0eabfb4d89a4e784ffc308f00",
     },
     ("partition2_torus33", "run"): {
-        "report.json": "5261d283170e4ed2b230af2709aff856adc5cf69d687ea1d736f95230f0a3514",
-        "audit.jsonl": "57d043d54460252ba05e883d88789f7c21b18e5adab0bb0a01fced81b01813fa",
+        "report.json": "5ec5f01c3b7360c29ddfba4f7eb8316d8dc60d3efe51993530709fae508e4718",
+        "audit.jsonl": "057396c5bfe0255e7073c2e6153e78775e47a761964ab7c7755163987c0ac7c0",
     },
     ("torus_sweep", "run"): {
         "traces.json": "3e48102fe5e146ee198cd4278e1837ab389e62f2d22d10b27a6a450cf0b8df69",

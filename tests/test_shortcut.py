@@ -285,6 +285,16 @@ class TestPartitionShortcut:
         assert fp.initial_trace.path_string() == "a-b-a-d-c"
         assert fp.final_trace.path_string() == "a-d-c"
 
+    def test_loop_free_failover_to_later_partition_truncates_nothing(self, square):
+        flow = Flow("a", "c")
+        scheme = PartitionScheme(flow=flow, paths=(("a", "b", "c"), ("a", "d", "c")))
+        state = compile_partition_frr(square, scheme, flow)
+        failures = FailureSet.of(links=[("a", "b")])
+        trace = route(state, square, failures, flow)
+        assert trace.path_string() == "a-d-c"
+        assert partition_shortcut(state, square, failures, trace) == []
+        assert shortcut_fixpoint(state, square, failures, flow).rounds == 0
+
     def test_untagged_state_is_rejected(self, figure1, figure1_flow, s2s4_failure):
         (arb,) = decompose_arborescences(figure1, "D", 1)
         state = compile_arborescence_frr(figure1, [arb], figure1_flow)
