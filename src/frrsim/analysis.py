@@ -30,7 +30,6 @@ from .topology import (
     Flow,
     Topology,
     bfs_distances,
-    canon_link,
     residual_adjacency,
     shortest_path_length,
     shortest_route,
@@ -489,9 +488,8 @@ def build_flow_plan(
     fixpoint: FixpointResult,
 ) -> FlowTimelinePlan:
     """Timeline plan for a primary flow from its simulated traces."""
-    dead = failures.dead_links(topology)
     pre_edges = path_edges(pre_trace.node_path())
-    affected = any(canon_link(u, v) in dead for u, v in pre_edges)
+    affected = any(failures.link_down(u, v) for u, v in pre_edges)
     converged = shortest_route(topology, failures, flow.source, flow.destination)
     return FlowTimelinePlan(
         flow_id=flow.flow_id,
@@ -515,8 +513,7 @@ def background_flow_plan(
     for a, b in edges:
         if not topology.has_link(a, b):
             raise ValueError(f"background route step ({a}, {b}) is not a link")
-    dead = failures.dead_links(topology)
-    if any(canon_link(u, v) in dead for u, v in edges):
+    if any(failures.link_down(u, v) for u, v in edges):
         raise ValueError(f"background flow {flow_id!r} route crosses the failure")
     return FlowTimelinePlan(
         flow_id=flow_id,

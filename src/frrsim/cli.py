@@ -35,6 +35,12 @@ class ConfigError(ValueError):
     """Scenario config is malformed; message names the offending field."""
 
 
+def _object(value, name: str) -> dict:
+    if not isinstance(value, dict):
+        raise ConfigError(f"{name} must be a JSON object")
+    return dict(value)
+
+
 @dataclass
 class ScenarioConfig:
     topology: dict
@@ -56,12 +62,15 @@ class ScenarioConfig:
         for key in ("topology", "flows", "scheme", "failures"):
             if key not in data:
                 raise ConfigError(f"config field '{key}' is required")
+        if not isinstance(data["flows"], list):
+            raise ConfigError("flows must be a list")
+        throughput = data.get("throughput")
         cfg = cls(
-            topology=dict(data["topology"]),
-            flows=[dict(f) for f in data["flows"]],
-            scheme=dict(data["scheme"]),
-            failures=dict(data["failures"]),
-            throughput=dict(data["throughput"]) if data.get("throughput") else None,
+            topology=_object(data["topology"], "topology"),
+            flows=[_object(f, f"flows[{i}]") for i, f in enumerate(data["flows"])],
+            scheme=_object(data["scheme"], "scheme"),
+            failures=_object(data["failures"], "failures"),
+            throughput=_object(throughput, "throughput") if throughput else None,
             output_dir=data.get("output_dir"),
         )
         cfg._validate()
@@ -193,15 +202,14 @@ def _apply_overrides(config: ScenarioConfig, fail: str | None,
     return config
 
 
-def _run_scenario(config: ScenarioConfig, check_rounds: bool = True) -> analysis.SweepReport:
+def _run_scenario(config: ScenarioConfig) -> analysis.SweepReport:
     topology = build_topology(config.topology)
     flows = _flows_of(config, topology)
     failure_sets = _failure_sets(config, topology, flows)
     compiler = SchemeCompiler(topology, config.scheme)
-    if config.failures["kind"] == "sweep_nodes":
-        check_rounds = False
     return analysis.run_failure_sweep(
-        topology, compiler.compile, flows, failure_sets, check_rounds=check_rounds
+        topology, compiler.compile, flows, failure_sets,
+        check_rounds=config.failures["kind"] != "sweep_nodes",
     )
 
 
@@ -328,12 +336,18 @@ def build_timeline(config: ScenarioConfig) -> analysis.Timeline:
 
     plans = []
     for flow in flows:
-        pre_state = compiler.compile(flow)
-        pre_trace = route_packet(pre_state, topology, FailureSet.none(), flow)
         state = compiler.compile(flow)
+        pre_trace = route_packet(state, topology, FailureSet.none(), flow)
         fp = shortcut_fixpoint(state, topology, failures, flow)
         plans.append(analysis.build_flow_plan(topology, failures, flow, pre_trace, fp))
-    for bg in params.get("background_flows", []):
+    background = params.get("background_flows", [])
+    if not isinstance(background, list):
+        raise ConfigError("throughput.background_flows must be a list")
+    for i, bg in enumerate(background):
+        if not isinstance(bg, dict) or not {"source", "destination", "route"} <= bg.keys():
+            raise ConfigError(
+                f"throughput.background_flows[{i}] needs source, destination and route"
+            )
         flow_id = bg.get("flow_id", f"{bg['source']}->{bg['destination']}")
         plans.append(
             analysis.background_flow_plan(topology, failures, flow_id, bg["route"])

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable
 
-from .topology import FailureSet, Flow, Topology, canon_link
+from .topology import FailureSet, Flow, Topology
 
 MODE_SUFFIX = "suffix"
 MODE_GREEDY = "greedy"
@@ -40,6 +40,7 @@ class Hop:
     node: str
     inport: str | None
     outport: str
+    index: int | None = field(default=None, compare=False)  # from ``select``
 
 
 @dataclass(frozen=True)
@@ -225,11 +226,6 @@ def route(
     if start in failures.failed_nodes:
         raise ValueError(f"start node {start!r} is failed")
 
-    dead_links = failures.dead_links(topology)
-
-    def dead(u: str, v: str) -> bool:
-        return canon_link(u, v) in dead_links
-
     v: str = start
     inport: str | None = INJECT
     hops: list[Hop] = []
@@ -242,11 +238,11 @@ def route(
         seen.add(key)
         if v not in state.tables:
             raise ValueError(f"node {v!r} has no forwarding rules for {flow.flow_id!r}")
-        sel = state.select(v, inport, dead)
+        sel = state.select(v, inport, failures.link_down)
         if sel is None:
             return Trace(flow.flow_id, tuple(hops), Outcome.DROPPED, v)
-        out, _ = sel
-        hops.append(Hop(v, inport, out))
+        out, idx = sel
+        hops.append(Hop(v, inport, out, idx))
         if len(hops) > cap:
             raise RuntimeError("hop cap exceeded; forwarding state is inconsistent")
         v, inport = out, v

@@ -24,7 +24,7 @@ from .forwarding import (
     Trace,
     route,
 )
-from .topology import FailureSet, Flow, Topology, canon_link
+from .topology import FailureSet, Flow, Topology
 
 
 @dataclass
@@ -83,46 +83,40 @@ def revert_changes(state: ForwardingState, changes: list[RuleChange]) -> None:
             table.inport_start[change.inport] = change.old_start
 
 
+def _observations(trace: Trace) -> Observations:
+    """Per-node inports and exits of a trace routed on the current state."""
+    obs: Observations = {}
+    for hop in trace.hops:
+        node_obs = obs.setdefault(hop.node, NodeObservation())
+        node_obs.inports.add(hop.inport)
+        node_obs.exits.add((hop.outport, hop.index))
+    return obs
+
+
+def _replay(
+    state: ForwardingState, topology: Topology, failures: FailureSet, trace: Trace
+) -> Trace:
+    """Route the state again from the trace's first node; the trace must match."""
+    if trace.flow_id != state.flow.flow_id:
+        raise ValueError(f"trace flow {trace.flow_id!r} unknown to this state")
+    replay = route(state, topology, failures, state.flow, start=trace.node_path()[0])
+    if replay != trace:
+        raise ValueError("trace does not replay against this state")
+    return replay
+
+
 def observations_from_trace(
     state: ForwardingState,
     topology: Topology,
     failures: FailureSet,
     trace: Trace,
 ) -> Observations:
-    """Replay the trace against the state to recover used priority indices.
+    """Observations of a trace, which must replay against the state.
 
-    The trace must have been produced by ``route`` on this very state under
-    the same failures; any divergence is an error.
+    They come from the replayed walk, so priority indices on the caller's
+    hops are never read.
     """
-    if trace.flow_id != state.flow.flow_id:
-        raise ValueError(f"trace flow {trace.flow_id!r} unknown to this state")
-    dead_links = failures.dead_links(topology)
-
-    def dead(u: str, v: str) -> bool:
-        return canon_link(u, v) in dead_links
-
-    obs: Observations = {}
-    for hop in trace.hops:
-        if hop.node not in state.tables:
-            raise ValueError(f"trace references unknown node {hop.node!r}")
-        sel = state.select(hop.node, hop.inport, dead)
-        if sel is None or sel[0] != hop.outport:
-            raise ValueError(
-                f"trace hop at {hop.node!r} does not replay against this state"
-            )
-        node_obs = obs.setdefault(hop.node, NodeObservation())
-        node_obs.inports.add(hop.inport)
-        node_obs.exits.add(sel)
-    return obs
-
-
-def _first_live(table, node: str, dead, start: int) -> int | None:
-    """Effective top of a suffix: first live entry at or after ``start``."""
-    prio = table.priority
-    for idx in range(start, len(prio) + 1):
-        if not dead(node, prio[idx - 1]):
-            return idx
-    return None
+    return _observations(_replay(state, topology, failures, trace))
 
 
 def apply_truncation(
@@ -133,21 +127,16 @@ def apply_truncation(
 ) -> list[RuleChange]:
     """Advance inport suffix starts to the lowest-priority observed outport.
 
-    For every observed node and every one of its inports (used by the packet
-    or not): find the largest observed index inside the inport's current
-    suffix; if it lies beyond the suffix's first *live* entry, move the start
-    there. The rule needs no partition awareness: partition failover lays
-    its entries out partition by partition, so tags never decrease along a
-    priority list and the first live entry is also the first live entry of
-    the earliest partition with one. An observed exit into a later
+    For every observed node and every inport the packet used there: find
+    the largest observed index inside the inport's current suffix; if it
+    lies beyond the suffix's first *live* entry, move the start there. The
+    rule needs no partition awareness: partition failover lays its entries
+    out partition by partition, so tags never decrease along a priority
+    list and the first live entry is also the first live entry of the
+    earliest partition with one. An observed exit into a later
     partition thus truncates only when it lies beyond that entry; when it
     is that entry, the walk was a plain failover and the rule stays.
     """
-    dead_links = failures.dead_links(topology)
-
-    def dead(u: str, v: str) -> bool:
-        return canon_link(u, v) in dead_links
-
     changes: list[RuleChange] = []
     for node in sorted(observations):
         table = state.tables[node]
@@ -161,8 +150,9 @@ def apply_truncation(
             j = table.inport_start.get(inport)
             if j is None or deepest <= j:
                 continue
-            top = _first_live(table, node, dead, j)
-            if top is not None and deepest > top:
+            # move only past a live entry: dead ones already count as removed
+            skipped = table.priority[j - 1 : deepest - 1]
+            if any(not failures.link_down(node, out) for out in skipped):
                 table.inport_start[inport] = deepest
                 changes.append(
                     RuleChange(node=node, inport=inport, old_start=j, new_start=deepest)
@@ -179,8 +169,8 @@ def observe_and_truncate(
     """Standard suffix truncation from one probe trace (mutates the state)."""
     if state.mode != MODE_SUFFIX:
         raise ValueError("suffix-mode state required")
-    obs = observations_from_trace(state, topology, failures, trace)
-    return apply_truncation(state, topology, failures, obs)
+    trace = _replay(state, topology, failures, trace)
+    return _shortcut_step(state, topology, failures, trace)
 
 
 def partition_shortcut(
@@ -201,28 +191,31 @@ def greedy_shortcut(
     failures: FailureSet,
     trace: Trace,
 ) -> list[RuleChange]:
-    """Greedy adaptation: pin observed bounce-backs, truncate the global order.
-
-    A local pattern v1 -> v2 -> v1 means bouncing back was v2's best greedy
-    choice, so v2 pins "to v1" as the top outport for the inport from v1.
-    Nodes additionally apply the standard truncation to their global
-    distance order.
-    """
+    """Greedy adaptation: pin observed bounce-backs, truncate the global order."""
     if state.mode != MODE_GREEDY:
         raise ValueError("greedy-mode state required")
-    obs = observations_from_trace(state, topology, failures, trace)
+    trace = _replay(state, topology, failures, trace)
+    return _shortcut_step(state, topology, failures, trace)
+
+
+def _shortcut_step(
+    state: ForwardingState, topology: Topology, failures: FailureSet, trace: Trace
+) -> list[RuleChange]:
+    """One round's rule changes from a trace routed on the current state.
+
+    Greedy state first pins its bounce-backs: a local pattern v1 -> v2 -> v1
+    means bouncing back was v2's best greedy choice, so v2 pins "to v1" as
+    the top outport for the inport from v1. Every node then applies the
+    standard truncation (for greedy state, to its global distance order).
+    """
     changes: list[RuleChange] = []
-    for prev, hop in zip(trace.hops, trace.hops[1:]):
-        if hop.inport == prev.node and hop.outport == prev.node:
-            table = state.tables[hop.node]
-            if hop.inport not in table.pinned:
-                table.pinned.add(hop.inport)
-                changes.append(
-                    RuleChange(
-                        node=hop.node, inport=hop.inport, kind="pin", outport=hop.outport
-                    )
-                )
-    changes.extend(apply_truncation(state, topology, failures, obs))
+    if state.mode == MODE_GREEDY:
+        for prev, hop in zip(trace.hops, trace.hops[1:]):
+            pinned = state.tables[hop.node].pinned
+            if hop.inport == prev.node == hop.outport and hop.inport not in pinned:
+                pinned.add(hop.inport)
+                changes.append(RuleChange(hop.node, hop.inport, "pin", outport=hop.outport))
+    changes.extend(apply_truncation(state, topology, failures, _observations(trace)))
     return changes
 
 
@@ -258,22 +251,23 @@ def shortcut_fixpoint(
 ) -> FixpointResult:
     """Alternate route and truncate until no rule changes (mutates state).
 
-    A non-delivered trace at any round is surfaced as the final verdict, not
-    raised. Suffix starts only ever grow, so the iteration terminates within
-    the total number of priority entries.
+    Each round is one walk: the step reads the priority indices that
+    ``route`` recorded on the hops. A non-delivered trace at any round is
+    surfaced as the final verdict, not raised. Suffix starts only ever grow,
+    so the iteration terminates within the total number of priority entries.
     """
-    step = greedy_shortcut if state.mode == MODE_GREEDY else observe_and_truncate
-    bound = sum(len(t.priority) + 1 for t in state.tables.values()) + 1
-
+    bound = 1  # the real bound is at least 2; computed once a round exceeds 1
     traces = [route(state, topology, failures, flow)]
     result = FixpointResult(traces=traces, rounds=0)
     while traces[-1].outcome is Outcome.DELIVERED:
-        changes = step(state, topology, failures, traces[-1])
+        changes = _shortcut_step(state, topology, failures, traces[-1])
         if not changes:
             break
         result.rounds += 1
         result.changes_per_round.append(changes)
         if result.rounds > bound:
-            raise RuntimeError("shortcut iteration failed to reach a fixpoint")
+            bound = sum(len(t.priority) + 1 for t in state.tables.values()) + 1
+            if result.rounds > bound:
+                raise RuntimeError("shortcut iteration failed to reach a fixpoint")
         traces.append(route(state, topology, failures, flow))
     return result

@@ -184,6 +184,11 @@ class FailureSet:
                 dead.add(canon_link(node, nbr))
         return frozenset(dead)
 
+    def link_down(self, u: str, v: str) -> bool:
+        """Whether the link u-v is unusable: it failed or an endpoint did."""
+        down = self.failed_nodes
+        return u in down or v in down or canon_link(u, v) in self.failed_links
+
     def is_empty(self) -> bool:
         return not self.failed_links and not self.failed_nodes
 
@@ -214,18 +219,11 @@ def bfs_distances(adj: Mapping[str, Iterable[str]], source: str) -> dict[str, in
 
 def residual_adjacency(topology: Topology, failures: FailureSet) -> dict[str, list[str]]:
     """Adjacency of the graph with failed links and nodes removed."""
-    dead = failures.dead_links(topology)
-    down = failures.failed_nodes
-    adj: dict[str, list[str]] = {}
-    for u in topology.nodes:
-        if u in down:
-            continue
-        adj[u] = [
-            v
-            for v in topology.neighbors(u)
-            if v not in down and canon_link(u, v) not in dead
-        ]
-    return adj
+    return {
+        u: [v for v in topology.neighbors(u) if not failures.link_down(u, v)]
+        for u in topology.nodes
+        if u not in failures.failed_nodes
+    }
 
 
 def shortest_path_length(

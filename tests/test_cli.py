@@ -158,6 +158,25 @@ class TestRunCommand:
         assert result.exit_code != 0
         assert "invalid JSON" in result.output
 
+    @pytest.mark.parametrize(
+        "field,value,message",
+        [
+            ("flows", 5, "flows must be a list"),
+            ("flows", [["S", "D"]], "flows[0] must be a JSON object"),
+            ("topology", "figure1", "topology must be a JSON object"),
+            ("throughput", 5, "throughput must be a JSON object"),
+        ],
+        ids=["flows-number", "flows-entry-list", "topology-string", "throughput-number"],
+    )
+    def test_wrong_shape_names_the_field(self, runner, tmp_path, field, value, message):
+        cfg = figure1_config()
+        cfg[field] = value
+        path = write_config(tmp_path, "shape.json", cfg)
+        for command in ("run", "timeline"):
+            result = runner.invoke(main, [command, path, "--output-dir", str(tmp_path)])
+            assert result.exit_code == 1, result.output
+            assert f"Error: {message}" in result.output
+
 
 class TestVerifyCommand:
     @pytest.mark.parametrize(
@@ -228,6 +247,25 @@ class TestTimelineCommand:
         result = runner.invoke(main, ["timeline", path])
         assert result.exit_code != 0
         assert "throughput" in result.output
+
+    def test_background_flow_without_route_names_the_entry(self, runner, tmp_path):
+        cfg = figure1_config()
+        del cfg["throughput"]["background_flows"][0]["route"]
+        path = write_config(tmp_path, "noroute.json", cfg)
+        result = runner.invoke(main, ["timeline", path, "--output-dir", str(tmp_path)])
+        assert result.exit_code == 1, result.output
+        assert (
+            "Error: throughput.background_flows[0] needs source, destination and route"
+            in result.output
+        )
+
+    def test_background_flows_must_be_a_list(self, runner, tmp_path):
+        cfg = figure1_config()
+        cfg["throughput"]["background_flows"] = 5
+        path = write_config(tmp_path, "bgnumber.json", cfg)
+        result = runner.invoke(main, ["timeline", path, "--output-dir", str(tmp_path)])
+        assert result.exit_code == 1, result.output
+        assert "Error: throughput.background_flows must be a list" in result.output
 
 
 class TestGenerateCommand:

@@ -90,6 +90,15 @@ class TestRoute:
 
         assert run_once() == run_once()
 
+    def test_hops_record_the_selected_priority_index(
+        self, figure1_state, figure1, figure1_flow, s2s4_failure
+    ):
+        trace = route(figure1_state, figure1, s2s4_failure, figure1_flow)
+        for hop in trace.hops:
+            prio = figure1_state.tables[hop.node].priority
+            assert prio[hop.index - 1] == hop.outport
+        assert all(len(h) == 3 for h in trace.to_json_dict()["hops"])
+
     def test_failure_locality(self, figure1, figure1_flow):
         # a remote failure never changes a node's own decision
         scheme = PartitionScheme(flow=figure1_flow, paths=FIGURE1_PATHS, relaxed=True)

@@ -8,9 +8,12 @@ from frrsim import (
     FailureSet,
     Flow,
     ForwardingState,
+    Hop,
     Outcome,
     PortTable,
     Topology,
+    Trace,
+    build_topology,
     compile_arborescence_frr,
     compile_greedy_frr,
     compile_partition_frr,
@@ -125,6 +128,38 @@ class TestObserveAndTruncate:
         foreign = route(other_state, figure1, FailureSet.none(), Flow("H", "D"))
         with pytest.raises(ValueError, match="unknown"):
             observe_and_truncate(figure1_state, figure1, s2s4_failure, foreign)
+
+    def test_trace_under_other_failures_does_not_replay(
+        self, figure1_state, figure1, figure1_flow, s2s4_failure
+    ):
+        trace = route(figure1_state, figure1, s2s4_failure, figure1_flow)
+        with pytest.raises(ValueError, match="does not replay"):
+            observe_and_truncate(figure1_state, figure1, FailureSet.none(), trace)
+
+
+class TestObservationsFromTrace:
+    @pytest.mark.parametrize("index", [None, 99])
+    def test_observations_ignore_the_callers_indices(
+        self, figure1_state, figure1, figure1_flow, s2s4_failure, index
+    ):
+        trace = route(figure1_state, figure1, s2s4_failure, figure1_flow)
+        rebuilt = Trace(
+            trace.flow_id,
+            tuple(Hop(h.node, h.inport, h.outport, index) for h in trace.hops),
+            trace.outcome,
+            trace.final_node,
+            trace.loop_inport,
+        )
+        expected = observations_from_trace(figure1_state, figure1, s2s4_failure, trace)
+        assert observations_from_trace(figure1_state, figure1, s2s4_failure, rebuilt) == expected
+        assert expected["S1"].exits == {("S2", 1), ("S3", 2)}
+
+    def test_trace_from_a_later_start_replays(
+        self, figure1_state, figure1, figure1_flow, s2s4_failure
+    ):
+        trace = route(figure1_state, figure1, s2s4_failure, figure1_flow, start="S2")
+        obs = observations_from_trace(figure1_state, figure1, s2s4_failure, trace)
+        assert obs["S2"].inports == {None}
 
 
 class TestShortcutProperties:
@@ -331,3 +366,53 @@ class TestGreedyShortcut:
         trace = route(figure1_state, figure1, s2s4_failure, figure1_flow)
         with pytest.raises(ValueError, match="greedy"):
             greedy_shortcut(figure1_state, figure1, s2s4_failure, trace)
+
+    def test_trace_under_other_failures_does_not_replay(
+        self, figure1, figure1_flow, s2s4_failure
+    ):
+        state = compile_greedy_frr(figure1, figure1_flow)
+        trace = route(state, figure1, s2s4_failure, figure1_flow)
+        with pytest.raises(ValueError, match="does not replay"):
+            greedy_shortcut(state, figure1, FailureSet.none(), trace)
+        assert not any(t.pinned for t in state.tables.values())
+
+
+class TestOneWalkPerRound:
+    """Each fixpoint round selects one outport per hop, and no more."""
+
+    @pytest.fixture
+    def select_calls(self, monkeypatch):
+        calls = [0]
+        real = ForwardingState.select
+
+        def counting(self, *args):
+            calls[0] += 1
+            return real(self, *args)
+
+        monkeypatch.setattr(ForwardingState, "select", counting)
+        return calls
+
+    @staticmethod
+    def walk_cost(fp) -> int:
+        # a dropped walk makes one last select call that finds nothing
+        return sum(t.hop_count + (t.outcome is Outcome.DROPPED) for t in fp.traces)
+
+    def test_figure1_partition_fixpoint(
+        self, figure1_state, figure1, figure1_flow, s2s4_failure, select_calls
+    ):
+        fp = shortcut_fixpoint(figure1_state, figure1, s2s4_failure, figure1_flow)
+        assert fp.rounds == 1
+        assert select_calls[0] == self.walk_cost(fp)
+
+    def test_greedy_hypercube3_link_sweep(self, select_calls):
+        t = build_topology("hypercube(3)")
+        flow = Flow(t.nodes[0], t.nodes[-1])
+        base = compile_greedy_frr(t, flow)
+        rounds = 0
+        for failures in enumerate_link_failures(t):
+            state = base.copy()
+            select_calls[0] = 0
+            fp = shortcut_fixpoint(state, t, failures, flow)
+            assert select_calls[0] == self.walk_cost(fp)
+            rounds += fp.rounds
+        assert rounds > 0

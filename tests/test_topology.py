@@ -183,6 +183,12 @@ class TestFailureSet:
             {("S2", "S4"), ("S3", "S4"), ("D", "S4")}
         )
 
+    def test_link_down_matches_dead_links(self, figure1):
+        fs = FailureSet.of(links=[("S1", "S2")], nodes=["S4"])
+        dead = fs.dead_links(figure1)
+        for u, v in figure1.links:
+            assert fs.link_down(u, v) == fs.link_down(v, u) == ((u, v) in dead)
+
     def test_validation(self, figure1):
         with pytest.raises(ValueError):
             FailureSet.of(links=[("S", "D")]).validate(figure1)
