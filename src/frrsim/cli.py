@@ -96,6 +96,16 @@ class ScenarioConfig:
             raise ConfigError(
                 f"failures.kind must be explicit|sweep_links|sweep_nodes, got {fkind!r}"
             )
+        if fkind == "explicit":
+            links = self.failures.get("links", [])
+            if not isinstance(links, (list, tuple)):
+                raise ConfigError("failures.links must be a list")
+            for i, link in enumerate(links):
+                if (not isinstance(link, (list, tuple)) or len(link) != 2
+                        or not all(isinstance(v, str) for v in link)):
+                    raise ConfigError(f"failures.links[{i}] must be a pair of node names")
+            if not isinstance(self.failures.get("nodes", []), (list, tuple)):
+                raise ConfigError("failures.nodes must be a list")
 
     def to_dict(self) -> dict:
         out: dict = {
@@ -356,6 +366,8 @@ def build_timeline(config: ScenarioConfig) -> analysis.Timeline:
     caps_spec = params.get("capacities", "unit")
     if caps_spec == "unit":
         capacities = analysis.unit_capacities(topology)
+    elif not isinstance(caps_spec, dict):
+        raise ConfigError('throughput.capacities must be "unit" or an object')
     else:
         capacities = {}
         for key, rate in caps_spec.items():

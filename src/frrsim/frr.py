@@ -85,18 +85,6 @@ def validate_disjoint(arborescences: Sequence[Arborescence], topology: Topology)
         used |= arcs
 
 
-def _reachable(adj: Mapping[str, set[str]], source: str) -> set[str]:
-    seen = {source}
-    stack = [source]
-    while stack:
-        u = stack.pop()
-        for v in adj.get(u, ()):
-            if v not in seen:
-                seen.add(v)
-                stack.append(v)
-    return seen
-
-
 def _adj_of(arcs: Iterable[tuple[str, str]]) -> dict[str, set[str]]:
     adj: dict[str, set[str]] = {}
     for u, v in arcs:
@@ -106,21 +94,29 @@ def _adj_of(arcs: Iterable[tuple[str, str]]) -> dict[str, set[str]]:
 
 def _arc_safe(
     nodes: Sequence[str],
-    residual_arcs: set[tuple[str, str]],
+    residual: dict[str, set[str]],
     root: str,
     need: int,
+    arc: tuple[str, str],
+    witness: dict[str, set[tuple[str, str]]],
 ) -> bool:
-    """True if every node still has ``need`` arc-disjoint paths from root."""
-    adj = _adj_of(residual_arcs)
-    if len(_reachable(adj, root)) < len(nodes):
-        return False
-    if need <= 1:
-        return True
+    """True if every node keeps ``need`` arc-disjoint paths from root without arc.
+
+    Removes ``arc`` from ``residual`` and leaves it out only when the answer
+    is True. Only nodes with no witness, or whose witness uses ``arc``, run a
+    max flow; every new witness is kept, as it lies inside the residual
+    whether or not ``arc`` is committed.
+    """
+    u, v = arc
+    residual[u].discard(v)
     for x in nodes:
-        if x == root:
+        if x == root or (x in witness and arc not in witness[x]):
             continue
-        if unit_max_flow(adj, root, x, limit=need) < need:
+        value, flow = unit_max_flow(residual, root, x, limit=need, return_flow=True)
+        if value < need:
+            residual[u].add(v)
             return False
+        witness[x] = flow
     return True
 
 
@@ -129,22 +125,32 @@ def _grow_out_tree(
 ) -> set[tuple[str, str]]:
     """Grow one spanning out-tree from root, keeping ``need`` packings possible.
 
-    Arcs are committed only when the residual arc set retains ``need``
-    arc-disjoint root-to-x paths for every node x, which guarantees the
-    remaining arborescences can still be extracted. A safe arc always exists
-    while the packing bound holds, so the loop cannot stall.
+    Arcs are committed only when the residual arc set (``avail`` minus the
+    tree) retains ``need`` arc-disjoint root-to-x paths for every node x,
+    which guarantees the remaining arborescences can still be extracted. A
+    safe arc always exists while the packing bound holds, so the loop cannot
+    stall.
+
+    Witness invariant: ``witness[x]`` is the net-flow arc set of x's last
+    successful ``need``-path max flow, and between candidates every witness
+    lies inside the residual arcs (a witness that used a committed arc was
+    recomputed without it). Removing an arc can therefore lower x's
+    root-connectivity below ``need`` only if x has no witness yet or its
+    witness uses that arc, and only those nodes are re-checked.
     """
     nodes = topology.nodes
+    residual = _adj_of(avail)
+    witness: dict[str, set[tuple[str, str]]] = {}
     spanned = {root}
     depth = {root: 0}
     tree: set[tuple[str, str]] = set()
     while len(spanned) < len(nodes):
         candidates = sorted(
-            ((u, v) for (u, v) in avail if u in spanned and v not in spanned),
+            ((u, v) for u in spanned for v in residual.get(u, ()) if v not in spanned),
             key=lambda a: (depth[a[0]], a[0], a[1]),
         )
         for u, v in candidates:
-            if need == 0 or _arc_safe(nodes, avail - tree - {(u, v)}, root, need):
+            if need == 0 or _arc_safe(nodes, residual, root, need, (u, v), witness):
                 tree.add((u, v))
                 spanned.add(v)
                 depth[v] = depth[u] + 1

@@ -274,6 +274,7 @@ def unit_max_flow(
     when return_flow is set, where flow_arcs is the set of net-flow arcs.
     """
     flow: set[tuple[str, str]] = set()
+    into: dict[str, set[str]] = {}  # into[w]: every v with (v, w) in flow
     value = 0
     while limit is None or value < limit:
         parent: dict[str, str | None] = {source: None}
@@ -281,16 +282,16 @@ def unit_max_flow(
         while frontier and sink not in parent:
             nxt = []
             for u in frontier:
-                candidates = set(adj.get(u, ()))
-                candidates.update(v for (v, w) in flow if w == u)
-                for v in sorted(candidates):
+                out = adj.get(u, ())
+                back = into.get(u, ())
+                for v in sorted({*out, *back}):
                     if v in parent:
                         continue
-                    usable = ((v, u) in flow) or (v in adj.get(u, ()) and (u, v) not in flow)
-                    if not usable:
-                        continue
-                    parent[v] = u
-                    nxt.append(v)
+                    if v in back or (v in out and (u, v) not in flow):
+                        parent[v] = u
+                        nxt.append(v)
+                if sink in parent:  # the rest of this level cannot change its path
+                    break
             frontier = nxt
         if sink not in parent:
             break
@@ -299,8 +300,10 @@ def unit_max_flow(
             u = parent[v]
             if (v, u) in flow:
                 flow.discard((v, u))
+                into[u].discard(v)
             else:
                 flow.add((u, v))
+                into.setdefault(v, set()).add(u)
             v = u
         value += 1
     if return_flow:
@@ -309,19 +312,22 @@ def unit_max_flow(
 
 
 def edge_connectivity(topology: Topology) -> int:
-    """Global edge connectivity: min over max-flow min-cuts from a fixed source."""
-    if len(topology.nodes) < 2:
-        return 0
-    if not topology.is_connected():
-        return 0
-    adj = topology.arc_adjacency()
-    src = topology.nodes[0]
-    best: int | None = None
-    for target in topology.nodes[1:]:
-        value = unit_max_flow(adj, src, target, limit=best)
-        if best is None or value < best:
-            best = value
-    return best or 0
+    """Global edge connectivity: min over max-flow min-cuts from a fixed source.
+
+    Computed once per Topology and cached on it, since topologies are immutable.
+    """
+    cached = getattr(topology, "_edge_connectivity", None)
+    if cached is not None:
+        return cached
+    lam = 0
+    if len(topology.nodes) >= 2 and topology.is_connected():
+        adj = topology.arc_adjacency()
+        src = topology.nodes[0]
+        for target in topology.nodes[1:]:
+            # Capped at the running minimum, so each value is the new minimum.
+            lam = unit_max_flow(adj, src, target, limit=lam or None)
+    topology._edge_connectivity = lam
+    return lam
 
 
 # ---------------------------------------------------------------------------

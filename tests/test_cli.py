@@ -178,6 +178,28 @@ class TestRunCommand:
             assert f"Error: {message}" in result.output
 
 
+    @pytest.mark.parametrize(
+        "failures,message",
+        [
+            ({"kind": "explicit", "links": 5}, "failures.links must be a list"),
+            ({"kind": "explicit", "links": [["S2"]]},
+             "failures.links[0] must be a pair of node names"),
+            ({"kind": "explicit", "links": [["S2", "S4"], ["S1", 3]]},
+             "failures.links[1] must be a pair of node names"),
+            ({"kind": "explicit", "links": [], "nodes": 5}, "failures.nodes must be a list"),
+        ],
+        ids=["links-number", "link-one-node", "link-number-node", "nodes-number"],
+    )
+    def test_wrong_failure_shape_names_the_field(self, runner, tmp_path, failures, message):
+        cfg = figure1_config()
+        cfg["failures"] = failures
+        path = write_config(tmp_path, "failures.json", cfg)
+        for command in ("run", "timeline"):
+            result = runner.invoke(main, [command, path, "--output-dir", str(tmp_path)])
+            assert result.exit_code == 1, result.output
+            assert f"Error: {message}" in result.output
+
+
 class TestVerifyCommand:
     @pytest.mark.parametrize(
         "desc,k",
@@ -266,6 +288,15 @@ class TestTimelineCommand:
         result = runner.invoke(main, ["timeline", path, "--output-dir", str(tmp_path)])
         assert result.exit_code == 1, result.output
         assert "Error: throughput.background_flows must be a list" in result.output
+
+
+    def test_capacities_must_be_unit_or_an_object(self, runner, tmp_path):
+        cfg = figure1_config()
+        cfg["throughput"]["capacities"] = 5
+        path = write_config(tmp_path, "capsnumber.json", cfg)
+        result = runner.invoke(main, ["timeline", path, "--output-dir", str(tmp_path)])
+        assert result.exit_code == 1, result.output
+        assert 'Error: throughput.capacities must be "unit" or an object' in result.output
 
 
 class TestGenerateCommand:

@@ -1,9 +1,13 @@
 from __future__ import annotations
 
+import hashlib
 import itertools
+import json
 
 import pytest
 
+import frrsim.frr as frr_module
+import frrsim.topology as topology_module
 from frrsim import (
     Arborescence,
     FailureSet,
@@ -91,6 +95,56 @@ class TestDecomposition:
         a2 = Arborescence(root="c", parent={"a": "c", "b": "a"})
         with pytest.raises(Exception, match="reused"):
             validate_disjoint([a1, a2], triangle)
+
+
+# sha256 over the decomposition and disjoint-path outputs of
+# test_outputs_are_pinned, captured before witness flows and the reverse-arc
+# index in unit_max_flow: any change in the chosen arcs must show here.
+DECOMPOSITION_DIGEST = "82497783474719371ce4a3ffa3b3050cacf8d83bc3138a08bbbbaf606c61a103"
+
+
+class TestDecompositionOutputsAndWork:
+    def test_outputs_are_pinned(self):
+        specs = ["torus(4,4)", "hypercube(4)", "complete(6)"] + [
+            {"kind": "random", "n": 9, "p": 0.5, "seed": s, "min_edge_connectivity": 2}
+            for s in (1, 2, 3)
+        ]
+        h = hashlib.sha256()
+        for spec in specs:
+            t = build_topology(spec)
+            lam = edge_connectivity(t)
+            for root in t.nodes:
+                for k in range(1, lam + 1):
+                    arbs = decompose_arborescences(t, root, k)
+                    parents = [sorted(a.parent.items()) for a in arbs]
+                    h.update(json.dumps([root, k, parents]).encode())
+            for s, d in itertools.permutations(t.nodes, 2):
+                scheme = compute_disjoint_paths(t, Flow(s, d), lam)
+                h.update(json.dumps([s, d, scheme.paths]).encode())
+        assert h.hexdigest() == DECOMPOSITION_DIGEST
+
+    def test_rechecks_only_what_a_candidate_arc_can_break(self, monkeypatch):
+        calls = {"frr": 0, "topology": 0}
+
+        def counting(module, name):
+            inner = module.unit_max_flow
+
+            def wrapped(*args, **kwargs):
+                calls[name] += 1
+                return inner(*args, **kwargs)
+
+            monkeypatch.setattr(module, "unit_max_flow", wrapped)
+
+        counting(frr_module, "frr")
+        counting(topology_module, "topology")
+        t = build_topology("torus(6,6)")
+        decompose_arborescences(t, "0_0", 4)
+        # One max flow per node for every candidate arc made 2,782 calls.
+        assert calls["frr"] < 1000
+        assert calls["topology"] > 0
+        calls.update(frr=0, topology=0)
+        decompose_arborescences(t, "0_0", 4)
+        assert calls["topology"] == 0  # edge connectivity is cached on t
 
 
 class TestArborescenceCompile:

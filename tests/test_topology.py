@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import random
 
 import pytest
 
@@ -219,3 +220,65 @@ class TestUnitMaxFlow:
         value, arcs = unit_max_flow(square.arc_adjacency(), "a", "c", return_flow=True)
         assert value == 2
         assert not any((v, u) in arcs for (u, v) in arcs)
+
+    def test_cancelled_arc_is_no_longer_a_reverse_arc(self):
+        # The first augmenting path s-a-b-t must be rerouted: the second one,
+        # s-c-b-a-d-t, cancels (a, b). After that, b may not step back to a,
+        # or s-e-b-a-f-g-t would count a third unit through the cut {a, b}.
+        adj = {
+            "s": {"a", "c", "e"}, "a": {"b", "d", "f"}, "b": {"t"}, "c": {"b"},
+            "d": {"t"}, "e": {"b"}, "f": {"g"}, "g": {"t"},
+        }
+        value, arcs = unit_max_flow(adj, "s", "t", return_flow=True)
+        assert value == 2
+        assert arcs == {("s", "a"), ("a", "d"), ("d", "t"), ("s", "c"), ("c", "b"), ("b", "t")}
+
+
+def _random_arcs(rng: random.Random, n: int, p: float) -> dict[str, set[str]]:
+    """Seeded directed arc set on n nodes, each ordered pair kept with probability p."""
+    nodes = [str(i) for i in range(n)]
+    return {u: {v for v in nodes if v != u and rng.random() < p} for u in nodes}
+
+
+class TestNetworkxOracle:
+    """Differential checks of the max-flow oracles against networkx."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_unit_max_flow_matches_networkx(self, seed):
+        nx = pytest.importorskip("networkx")
+        rng = random.Random(seed)
+        adj = _random_arcs(rng, 7 + seed, 0.3)
+        graph = nx.DiGraph()
+        graph.add_nodes_from(adj)
+        graph.add_edges_from(((u, v) for u in adj for v in adj[u]), capacity=1)
+        for s, t in itertools.permutations(sorted(adj), 2):
+            expected = nx.maximum_flow_value(graph, s, t)
+            value, arcs = unit_max_flow(adj, s, t, return_flow=True)
+            assert value == expected, (s, t)
+            assert all(v in adj[u] for u, v in arcs)
+            net = {x: 0 for x in adj}
+            for u, v in arcs:
+                net[u] -= 1
+                net[v] += 1
+            assert net[t] == value and net[s] == -value
+            assert all(net[x] == 0 for x in adj if x not in (s, t))
+            for limit in (1, 2, 3):
+                assert unit_max_flow(adj, s, t, limit=limit) == min(limit, expected)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_edge_connectivity_matches_networkx(self, seed):
+        nx = pytest.importorskip("networkx")
+        rng = random.Random(seed)
+        n = 6 + seed % 4
+        links = [
+            (str(i), str(j)) for i in range(n) for j in range(i + 1, n)
+            if rng.random() < 0.25 + 0.1 * (seed % 4)
+        ]
+        t = Topology([str(i) for i in range(n)], links)
+        graph = nx.Graph()
+        graph.add_nodes_from(t.nodes)
+        graph.add_edges_from(t.links)
+        assert edge_connectivity(t) == nx.edge_connectivity(graph)
+        adj = t.arc_adjacency()
+        for s, d in itertools.combinations(t.nodes, 2):
+            assert unit_max_flow(adj, s, d) == nx.edge_connectivity(graph, s, d)
