@@ -21,7 +21,7 @@ import io
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .forwarding import ForwardingState, Outcome, Trace
 from .shortcut import FixpointResult, revert_changes, shortcut_fixpoint
@@ -30,6 +30,7 @@ from .topology import (
     Flow,
     Topology,
     bfs_distances,
+    canon_link,
     residual_adjacency,
     shortest_path_length,
     shortest_route,
@@ -172,6 +173,48 @@ def _check_case(case: CaseResult, fp: FixpointResult, check_rounds: bool) -> Non
             case.violations.append("rounds_mismatch")
 
 
+class _FailureFreeCase(NamedTuple):
+    """A flow's checked case with nothing failed, walked in 0 rounds.
+
+    ``fields`` holds every ``CaseResult`` field except ``failure``;
+    ``nodes`` and ``links`` (canonical) are those of the walk.
+    """
+
+    fields: dict
+    nodes: frozenset[str]
+    links: frozenset[tuple[str, str]]
+
+    def misses(self, failures: FailureSet) -> bool:
+        return failures.failed_nodes.isdisjoint(self.nodes) and (
+            failures.failed_links.isdisjoint(self.links)
+        )
+
+    def case(self, failure: str) -> CaseResult:
+        case = CaseResult(**self.fields, failure=failure)
+        case.violations = list(case.violations)
+        return case
+
+
+def _failure_free_case(
+    state: ForwardingState, topology: Topology, flow: Flow, check_rounds: bool
+) -> _FailureFreeCase | None:
+    """Run and check the flow's fixpoint with nothing failed; None unless reusable.
+
+    It is reusable when it delivered in 0 rounds. The fixpoint's rule
+    changes are undone either way; an exception propagates.
+    """
+    fp = shortcut_fixpoint(state, topology, FailureSet(), flow)
+    revert_changes(state, fp.all_changes())
+    if fp.rounds or not fp.delivered:
+        return None
+    case = CaseResult(flow_id=flow.flow_id, failure="", verdict="", fixpoint=fp)
+    _check_case(case, fp, check_rounds)
+    fields = {name: value for name, value in vars(case).items() if name != "failure"}
+    path = fp.final_trace.node_path()
+    links = frozenset(canon_link(u, v) for u, v in zip(path, path[1:]))
+    return _FailureFreeCase(fields, frozenset(path), links)
+
+
 def run_failure_sweep(
     topology: Topology,
     compile_state: Callable[[Flow], ForwardingState],
@@ -185,11 +228,25 @@ def run_failure_sweep(
     once per flow and its result is never modified. The flow's cases share
     one working copy: after each case, the rule changes its fixpoint
     recorded are undone in reverse order, and a case that raised before
-    its fixpoint returned gets a fresh copy instead. Residual shortest-path
-    distances are computed once per (failure, destination) and shared by
-    every case that needs them. Cases where the base reroute already fails
-    to deliver are reported as frr_failed and excluded from the guarantee
-    checks.
+    its fixpoint returned gets a fresh copy instead.
+
+    Each flow first runs its fixpoint with nothing failed. If that walk is
+    delivered in 0 rounds, every failure set that fails no node and no link
+    of the walk reuses its result: only the two stretches are worked out
+    again. This is exact because shortcutting is local. With nothing
+    failed, each hop took the first entry of its suffix (greedy state
+    skips only the return edge, never a dead entry), and that entry is
+    still live, so the walk is the same. Zero rounds means no inport saw
+    an exit deeper than its start, which no failure can change, so no rule
+    changes either. Such cases share one ``FixpointResult`` object, so a
+    ``CaseResult.fixpoint`` must be treated as read-only. If the
+    failure-free fixpoint raises, loops, drops or needs a round, every case
+    of the flow runs its own fixpoint.
+
+    Residual shortest-path distances are computed once per (failure,
+    destination) and shared by every case that needs them. Cases where the
+    base reroute already fails to deliver are reported as frr_failed and
+    excluded from the guarantee checks.
     """
     cases: list[CaseResult] = []
     violations: dict[str, int] = {}
@@ -198,21 +255,32 @@ def run_failure_sweep(
     for flow in flows:
         base = compile_state(flow)
         state = base.copy()
+        try:
+            kept = _failure_free_case(state, topology, flow, check_rounds)
+        except Exception:  # the flow's own cases report the fault
+            kept = None
+            state = base.copy()
         for index, failures in enumerate(failure_sets):
             if flow.source in failures.failed_nodes or (
                 flow.destination in failures.failed_nodes
             ):
                 continue
-            case = CaseResult(flow_id=flow.flow_id, failure=labels[index], verdict="")
-            fp = None
+            reused = kept is not None and kept.misses(failures)
+            if reused:
+                case = kept.case(labels[index])
+            else:
+                case = CaseResult(flow_id=flow.flow_id, failure=labels[index], verdict="")
+            fp = case.fixpoint
             try:
-                fp = shortcut_fixpoint(state, topology, failures, flow)
-                case.fixpoint = fp
-                if fp.initial_trace.outcome is not Outcome.DELIVERED:
-                    case.verdict = "frr_failed"
-                    case.hops_before = fp.initial_trace.hop_count
-                else:
-                    _check_case(case, fp, check_rounds)
+                if not reused:
+                    fp = shortcut_fixpoint(state, topology, failures, flow)
+                    case.fixpoint = fp
+                    if fp.initial_trace.outcome is not Outcome.DELIVERED:
+                        case.verdict = "frr_failed"
+                        case.hops_before = fp.initial_trace.hop_count
+                    else:
+                        _check_case(case, fp, check_rounds)
+                if case.verdict != "frr_failed":
                     key = (index, flow.destination)
                     if key not in distances:
                         distances[key] = bfs_distances(
@@ -271,7 +339,7 @@ def report_json(report: SweepReport) -> str:
 # Max-min fair throughput
 # ---------------------------------------------------------------------------
 
-def _as_fraction(value) -> Fraction:
+def as_fraction(value) -> Fraction:
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int):
@@ -291,14 +359,14 @@ def maxmin_throughput(
     until a link saturates or a demand (default 1) is met; saturated flows
     freeze and the rest continue.
     """
-    demand = {f: _as_fraction((demands or {}).get(f, 1)) for f in routes}
+    demand = {f: as_fraction((demands or {}).get(f, 1)) for f in routes}
     residual: dict[tuple[str, str], Fraction] = {}
     users: dict[tuple[str, str], set[str]] = {}
     for flow_id, edges in routes.items():
         for edge in edges:
             if edge not in capacities:
                 raise ValueError(f"no capacity defined for edge {edge}")
-            cap = _as_fraction(capacities[edge])
+            cap = as_fraction(capacities[edge])
             if cap <= 0:
                 raise ValueError(f"flow {flow_id!r} routed over zero-capacity edge {edge}")
             residual[edge] = cap
@@ -414,21 +482,21 @@ def convergence_timeline(
     control plane converges. With shortcutting, the looped walks last one
     ``shortcut_delay`` and the shortcut routes take over until convergence.
     """
-    t_eff = _as_fraction(failure_effective)
-    cp = _as_fraction(control_plane_delay)
-    sc = _as_fraction(shortcut_delay)
-    step = _as_fraction(sample_step)
+    t_eff = as_fraction(failure_effective)
+    cp = as_fraction(control_plane_delay)
+    sc = as_fraction(shortcut_delay)
+    step = as_fraction(sample_step)
     for name, v in (("failure_effective", t_eff), ("control_plane_delay", cp),
                     ("shortcut_delay", sc), ("sample_step", step)):
         if v < 0:
             raise ValueError(f"{name} must be non-negative")
     if step == 0:
         raise ValueError("sample_step must be positive")
-    end = _as_fraction(horizon) if horizon is not None else t_eff + cp + Fraction(2)
+    end = as_fraction(horizon) if horizon is not None else t_eff + cp + Fraction(2)
     if end <= t_eff:
         raise ValueError("horizon must extend past the failure instant")
 
-    caps = {e: _as_fraction(c) for e, c in capacities.items()}
+    caps = {e: as_fraction(c) for e, c in capacities.items()}
 
     def rates_for(phase_routes: dict[str, tuple[tuple[str, str], ...] | None]):
         present = {f: r for f, r in phase_routes.items() if r is not None}

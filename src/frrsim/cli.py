@@ -18,6 +18,7 @@ import json
 import os
 import sys
 from dataclasses import dataclass
+from fractions import Fraction
 from pathlib import Path
 
 import click
@@ -91,6 +92,13 @@ class ScenarioConfig:
             raise ConfigError("scheme.k is required for arborescence")
         if kind == "partition" and "k" not in self.scheme and "paths" not in self.scheme:
             raise ConfigError("partition scheme needs k or explicit paths")
+        if kind == "partition" and "paths" in self.scheme:
+            paths = self.scheme["paths"]
+            if not isinstance(paths, (list, tuple)):
+                raise ConfigError("scheme.paths must be a list")
+            for i, path in enumerate(paths):
+                if not isinstance(path, (list, tuple)) or not all(isinstance(v, str) for v in path):
+                    raise ConfigError(f"scheme.paths[{i}] must be a list of node names")
         fkind = self.failures.get("kind")
         if fkind not in ("explicit", "sweep_links", "sweep_nodes"):
             raise ConfigError(
@@ -372,16 +380,26 @@ def build_timeline(config: ScenarioConfig) -> analysis.Timeline:
         capacities = {}
         for key, rate in caps_spec.items():
             u, _, v = key.partition(",")
-            capacities[(u, v)] = rate
+            if not u or not v or "," in v:
+                raise ConfigError(f"throughput.capacities key {key!r} must be 'u,v'")
+            capacities[(u, v)] = _number(rate, f"throughput.capacities[{key!r}]")
+    number = lambda name, default: _number(params.get(name, default), f"throughput.{name}")
     return analysis.convergence_timeline(
         plans,
         capacities,
-        failure_effective=params.get("failure_effective", 2.0),
-        control_plane_delay=params.get("control_plane_delay", 2.0),
-        shortcut_delay=params.get("shortcut_delay", 0.2),
-        sample_step=params.get("sample_step", 0.1),
-        horizon=params.get("horizon"),
+        failure_effective=number("failure_effective", 2.0),
+        control_plane_delay=number("control_plane_delay", 2.0),
+        shortcut_delay=number("shortcut_delay", 0.2),
+        sample_step=number("sample_step", 0.1),
+        horizon=None if params.get("horizon") is None else number("horizon", None),
     )
+
+
+def _number(value, name: str) -> Fraction:
+    try:
+        return analysis.as_fraction(value)
+    except ValueError:
+        raise ConfigError(f"{name} must be a number, got {value!r}") from None
 
 
 @main.command("generate")

@@ -3,10 +3,16 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from frrsim import (
+    CaseResult,
     FailureSet,
     Flow,
+    ForwardingState,
+    Outcome,
+    PortTable,
     Topology,
     build_topology,
     compile_arborescence_frr,
@@ -14,6 +20,7 @@ from frrsim import (
     compile_partition_frr,
     compute_disjoint_paths,
     decompose_arborescences,
+    edge_connectivity,
     link_loads,
     maxmin_throughput,
     route,
@@ -21,7 +28,7 @@ from frrsim import (
     shortcut_fixpoint,
     stretch,
 )
-from frrsim import analysis
+from frrsim import analysis, shortcut
 from frrsim.analysis import (
     background_flow_plan,
     build_flow_plan,
@@ -31,6 +38,7 @@ from frrsim.analysis import (
     report_csv,
     unit_capacities,
 )
+from frrsim.forwarding import MODE_SUFFIX
 from frrsim.frr import PartitionScheme
 from frrsim.scenarios import FIGURE1_PATHS
 
@@ -109,7 +117,7 @@ class TestSweep:
 
 
 SCHEME_COMPILERS = {
-    "arborescence": lambda t: arborescence_compiler(t, 4),
+    "arborescence": lambda t: arborescence_compiler(t, edge_connectivity(t)),
     "partition": lambda t: lambda flow: compile_partition_frr(
         t, compute_disjoint_paths(t, flow, 2), flow
     ),
@@ -121,13 +129,23 @@ def all_pairs(topology, sources=None):
     return [Flow(a, b) for a in sources or topology.nodes for b in topology.nodes if a != b]
 
 
-def reference_cases(topology, compile_state, flows, failure_sets):
-    """Each case alone: a fresh compile and fixpoint, nothing shared."""
+def reference_cases(topology, compile_state, flows, failure_sets, check_rounds=True):
+    """Each case alone: a fresh compile and fixpoint, checked without the sweep."""
     out = []
     for flow in flows:
         for failures in failure_sets:
-            (case,) = run_failure_sweep(topology, compile_state, [flow], [failures]).cases
+            if {flow.source, flow.destination} & failures.failed_nodes:
+                continue
             fp = shortcut_fixpoint(compile_state(flow), topology, failures, flow)
+            case = CaseResult(flow_id=flow.flow_id, failure=failures.label(), verdict="")
+            if fp.initial_trace.outcome is not Outcome.DELIVERED:
+                case.verdict = "frr_failed"
+                case.hops_before = fp.initial_trace.hop_count
+            else:
+                analysis._check_case(case, fp, check_rounds)
+                case.stretch_before = stretch(fp.initial_trace, topology, failures, flow)
+                if fp.delivered:
+                    case.stretch_after = stretch(fp.final_trace, topology, failures, flow)
             out.append((case, fp))
     return out
 
@@ -194,8 +212,8 @@ class TestSweepUndo:
         calls = []
 
         def sabotaging_fixpoint(state, topology, failures, flow):
-            calls.append(failures)
-            if len(calls) == 5:
+            calls.append((flow.flow_id, failures.label()))
+            if len(calls) == 8:
                 for table in state.tables.values():
                     for inport in table.inport_start:
                         table.inport_start[inport] = len(table.priority) + 1
@@ -204,12 +222,171 @@ class TestSweepUndo:
 
         monkeypatch.setattr(analysis, "shortcut_fixpoint", sabotaging_fixpoint)
         report = run_failure_sweep(t, compile_state, flows, failure_sets)
-        broken = report.cases[4]
+        # Flow 0_0->1_1 walks 0_0-0_1-1_1: after its failure-free fixpoint
+        # only the two failures on that walk run a fixpoint of their own,
+        # and the fault hits the first of them.
+        assert calls[6:9] == [
+            ("0_0->1_1", "none"),
+            ("0_0->1_1", "link:0_0-0_1"),
+            ("0_0->1_1", "link:0_1-1_1"),
+        ]
+        broken = report.cases[54]
+        assert (broken.flow_id, broken.failure) == calls[7]
         assert broken.verdict == "exception"
         assert broken.error == "RuntimeError: injected fault"
         assert report.violations_by_kind == {"exception": 1}
-        assert report.cases[5].flow_id == broken.flow_id
-        del report.cases[4], reference[4]
+        assert report.cases[55].flow_id == broken.flow_id
+        # the flow's next fixpoint runs on a fresh state
+        assert (report.cases[59].flow_id, report.cases[59].failure) == calls[8]
+        del report.cases[54], reference[54]
+        assert_matches_reference(report, reference)
+
+    def test_failure_free_fixpoint_that_raises_is_not_a_case(self, monkeypatch):
+        t = build_topology("torus(3,3)")
+        compile_state = arborescence_compiler(t, 4)
+        flows = all_pairs(t, t.nodes[:1])
+        failure_sets = enumerate_link_failures(t)
+        reference = reference_cases(t, compile_state, flows, failure_sets)
+        real_fixpoint = analysis.shortcut_fixpoint
+        calls = []
+
+        def sabotaging_fixpoint(state, topology, failures, flow):
+            calls.append((flow.flow_id, failures.label()))
+            if len(calls) == 1:
+                for table in state.tables.values():
+                    for inport in table.inport_start:
+                        table.inport_start[inport] = len(table.priority) + 1
+                raise RuntimeError("injected fault")
+            return real_fixpoint(state, topology, failures, flow)
+
+        monkeypatch.setattr(analysis, "shortcut_fixpoint", sabotaging_fixpoint)
+        report = run_failure_sweep(t, compile_state, flows, failure_sets)
+        # the first flow falls back to one fixpoint per case, on a fresh state
+        assert calls[0] == ("0_0->0_1", "none")
+        assert calls[1 : len(failure_sets) + 2] == [
+            ("0_0->0_1", label) for label in [fs.label() for fs in failure_sets]
+        ] + [("0_0->0_2", "none")]
+        assert report.violations_by_kind == {}
+        assert_matches_reference(report, reference)
+
+
+def failure_free_walks(topology, compile_state, flows):
+    """Per flow: the nodes and canonical links of its failure-free walk."""
+    walks = {}
+    for flow in flows:
+        path = route(compile_state(flow), topology, FailureSet(), flow).node_path()
+        links = FailureSet.of(links=zip(path, path[1:])).failed_links
+        walks[flow.flow_id] = set(path), links
+    return walks
+
+
+def misses_walk(walks, case, failures):
+    nodes, links = walks[case.flow_id]
+    return not (failures.failed_nodes & nodes or failures.failed_links & links)
+
+
+class TestFailureFreeReuse:
+    """Cases whose failure misses the failure-free walk reuse its fixpoint."""
+
+    @pytest.fixture
+    def route_calls(self, monkeypatch):
+        calls = [0]
+        real = shortcut.route
+
+        def counting(*args, **kwargs):
+            calls[0] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(shortcut, "route", counting)
+        return calls
+
+    @pytest.mark.parametrize("desc", ["torus(3,3)", "hypercube(3)"])
+    @pytest.mark.parametrize("scheme", ["arborescence", "partition", "greedy"])
+    @pytest.mark.parametrize("kind", ["links", "nodes"])
+    def test_sweep_matches_fresh_fixpoint_per_case(self, desc, scheme, kind):
+        t = build_topology(desc)
+        compile_state = SCHEME_COMPILERS[scheme](t)
+        flows = all_pairs(t)
+        if kind == "links":
+            a, b, c = t.nodes[0], *t.neighbors(t.nodes[0])[:2]
+            failure_sets = enumerate_link_failures(t) + [FailureSet.of(links=[(a, b), (a, c)])]
+        else:
+            failure_sets = enumerate_node_failures(t)
+        check_rounds = kind == "links"
+        report = run_failure_sweep(t, compile_state, flows, failure_sets, check_rounds)
+        reference = reference_cases(t, compile_state, flows, failure_sets, check_rounds)
+        assert_matches_reference(report, reference)
+        assert len({id(case.fixpoint) for case in report.cases}) < len(report.cases) / 2
+
+    @pytest.mark.parametrize("scheme", ["arborescence", "partition", "greedy"])
+    def test_reused_case_routes_nothing(self, scheme, route_calls):
+        t = build_topology("torus(3,3)")
+        compile_state = SCHEME_COMPILERS[scheme](t)
+        flows = all_pairs(t)
+        failure_sets = enumerate_link_failures(t)
+        walks = failure_free_walks(t, compile_state, flows)
+        report = run_failure_sweep(t, compile_state, flows, failure_sets)
+        by_label = {fs.label(): fs for fs in failure_sets}
+        own = [c for c in report.cases if not misses_walk(walks, c, by_label[c.failure])]
+        assert len(own) < len(report.cases) / 2
+        # one walk per flow with nothing failed, then only the cases not reused
+        assert route_calls[0] == len(flows) + sum(len(c.fixpoint.traces) for c in own)
+
+    @pytest.mark.parametrize(
+        "a_rules,b_rules",
+        [
+            # a -> b -> a -> c delivers, then a truncates: one round
+            ((["b", "c"], {None: 1, "b": 2}), (["a", "c"], {"a": 1})),
+            # a -> b, and b has nothing left for inport a: dropped
+            ((["b"], {None: 1}), (["a", "c"], {"a": 3})),
+        ],
+        ids=["round", "dropped"],
+    )
+    def test_failure_free_walk_with_a_round_or_a_drop_is_not_reused(
+        self, triangle, a_rules, b_rules, route_calls
+    ):
+        flow = Flow("a", "c")
+        tables = {"a": PortTable(*a_rules), "b": PortTable(*b_rules), "c": PortTable([], {})}
+        base = ForwardingState(flow, MODE_SUFFIX, tables)
+        compile_state = lambda f: base.copy()
+        # b-c misses the failure-free walk
+        failure_sets = [FailureSet.of(links=[("b", "c")]), FailureSet()]
+        free = shortcut_fixpoint(base.copy(), triangle, FailureSet(), flow)
+        assert free.rounds == 1 or not free.delivered
+        reference = reference_cases(triangle, compile_state, [flow], failure_sets)
+        route_calls[0] = 0
+        report = run_failure_sweep(triangle, compile_state, [flow], failure_sets)
+        assert route_calls[0] == len(free.traces) + sum(
+            len(c.fixpoint.traces) for c in report.cases
+        )
+        assert_matches_reference(report, reference)
+
+    @settings(
+        max_examples=40,
+        deadline=None,
+        derandomize=True,
+        database=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(
+        n=st.integers(4, 7),
+        p=st.sampled_from([0.5, 0.7, 0.9]),
+        seed=st.integers(0, 10_000),
+        scheme=st.sampled_from(["arborescence", "partition", "greedy"]),
+        data=st.data(),
+    )
+    def test_reuse_equals_fresh_fixpoint_on_random_graphs(self, n, p, seed, scheme, data):
+        t = build_topology({"kind": "random", "n": n, "p": p, "seed": seed,
+                            "min_edge_connectivity": 2})
+        compile_state = SCHEME_COMPILERS[scheme](t)
+        link_sets = data.draw(st.lists(
+            st.lists(st.sampled_from(t.links), min_size=1, max_size=3, unique=True),
+            min_size=1, max_size=6,
+        ))
+        failure_sets = [FailureSet.of(links=links) for links in link_sets]
+        flows = all_pairs(t)
+        report = run_failure_sweep(t, compile_state, flows, failure_sets, check_rounds=False)
+        reference = reference_cases(t, compile_state, flows, failure_sets, check_rounds=False)
         assert_matches_reference(report, reference)
 
 

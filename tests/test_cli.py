@@ -199,6 +199,23 @@ class TestRunCommand:
             assert result.exit_code == 1, result.output
             assert f"Error: {message}" in result.output
 
+    @pytest.mark.parametrize(
+        "paths,message",
+        [
+            (5, "scheme.paths must be a list"),
+            ([5], "scheme.paths[0] must be a list of node names"),
+        ],
+        ids=["paths-number", "path-number"],
+    )
+    def test_wrong_paths_shape_names_the_field(self, runner, tmp_path, paths, message):
+        cfg = figure1_config()
+        cfg["scheme"]["paths"] = paths
+        path = write_config(tmp_path, "paths.json", cfg)
+        for command in ("run", "timeline"):
+            result = runner.invoke(main, [command, path, "--output-dir", str(tmp_path)])
+            assert result.exit_code == 1, result.output
+            assert f"Error: {message}" in result.output
+
 
 class TestVerifyCommand:
     @pytest.mark.parametrize(
@@ -297,6 +314,24 @@ class TestTimelineCommand:
         result = runner.invoke(main, ["timeline", path, "--output-dir", str(tmp_path)])
         assert result.exit_code == 1, result.output
         assert 'Error: throughput.capacities must be "unit" or an object' in result.output
+
+    @pytest.mark.parametrize(
+        "field,value,message",
+        [
+            ("capacities", {"S2": 1}, "throughput.capacities key 'S2' must be 'u,v'"),
+            ("capacities", {"S,S1": "fast"},
+             "throughput.capacities['S,S1'] must be a number, got 'fast'"),
+            ("horizon", "x", "throughput.horizon must be a number, got 'x'"),
+        ],
+        ids=["capacity-key-without-comma", "capacity-rate-word", "horizon-word"],
+    )
+    def test_bad_throughput_value_names_the_field(self, runner, tmp_path, field, value, message):
+        cfg = figure1_config()
+        cfg["throughput"][field] = value
+        path = write_config(tmp_path, "throughput.json", cfg)
+        result = runner.invoke(main, ["timeline", path, "--output-dir", str(tmp_path)])
+        assert result.exit_code == 1, result.output
+        assert f"Error: {message}" in result.output
 
 
 class TestGenerateCommand:
