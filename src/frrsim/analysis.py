@@ -16,8 +16,11 @@ overwrites.
 
 from __future__ import annotations
 
+import bisect
 import csv
+import heapq
 import io
+import itertools
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -352,12 +355,17 @@ def maxmin_throughput(
     capacities: Mapping[tuple[str, str], object],
     demands: Mapping[str, object] | None = None,
 ) -> dict[str, Fraction]:
-    """Progressive water-filling max-min allocation with exact arithmetic.
+    """Event-driven water-filling max-min allocation with exact arithmetic.
 
-    ``routes`` maps a flow id to the directed edges it traverses;
-    ``capacities`` gives per directed edge rates. All flows rise together
-    until a link saturates or a demand (default 1) is met; saturated flows
-    freeze and the rest continue.
+    ``routes`` maps a flow id to the directed edges it traverses (an edge
+    listed twice counts once); ``capacities`` gives per directed edge rates.
+    All flows rise together until a link saturates or a demand (default 1)
+    is met; those flows freeze and the rest continue. Since every active
+    flow sits at the same level, an edge saturates at (capacity - frozen
+    load) / active users, which changes only when one of its flows
+    freezes. A heap of these levels and the demands yields each freezing
+    level in turn; freezing updates only the edges of the frozen flows.
+    The rates are exact ``Fraction``s, equal to progressive filling's.
     """
     demand = {f: as_fraction((demands or {}).get(f, 1)) for f in routes}
     residual: dict[tuple[str, str], Fraction] = {}
@@ -372,26 +380,44 @@ def maxmin_throughput(
             residual[edge] = cap
             users.setdefault(edge, set()).add(flow_id)
 
-    rates = {f: Fraction(0) for f in routes}
+    # residual[e] is capacity minus frozen load, users[e] holds active flows,
+    # and latest[e] is the tick of e's current event; older ones are stale.
+    ticks = itertools.count()
+    events = [(demand[f], next(ticks), f, None) for f in routes]
+    latest: dict[tuple[str, str], int] = {}
+
+    def schedule(edge: tuple[str, str]) -> None:
+        latest[edge] = next(ticks)
+        heapq.heappush(events, (residual[edge] / len(users[edge]), latest[edge], None, edge))
+
+    heapq.heapify(events)
+    for edge in users:
+        schedule(edge)
+    rates = dict.fromkeys(routes, Fraction(0))
     active = set(routes)
     while active:
-        increments = [demand[f] - rates[f] for f in active]
-        for edge, flows_on_edge in users.items():
-            sharing = flows_on_edge & active
-            if sharing:
-                increments.append(residual[edge] / len(sharing))
-        delta = min(increments)
-        for f in active:
-            rates[f] += delta
-        for edge, flows_on_edge in users.items():
-            residual[edge] -= delta * len(flows_on_edge & active)
-        frozen = {f for f in active if rates[f] == demand[f]}
-        for edge, flows_on_edge in users.items():
-            if residual[edge] == 0:
-                frozen |= flows_on_edge & active
-        if not frozen:  # all increments were zero; nothing can grow
-            break
+        level = None
+        frozen: set[str] = set()
+        while events:
+            at, tick, flow_id, edge = events[0]
+            live = flow_id in active if edge is None else latest[edge] == tick and users[edge]
+            if live:
+                if level is not None and at != level:
+                    break
+                level = at
+                frozen |= users[edge] if edge else {flow_id}
+            heapq.heappop(events)
         active -= frozen
+        touched: dict[tuple[str, str], int] = {}
+        for flow_id in frozen:
+            rates[flow_id] = level
+            for edge in set(routes[flow_id]):
+                users[edge].discard(flow_id)
+                touched[edge] = touched.get(edge, 0) + 1
+        for edge, count in touched.items():
+            residual[edge] -= level * count
+            if users[edge]:
+                schedule(edge)
     return rates
 
 
@@ -433,28 +459,64 @@ class Timeline:
     horizon: Fraction
 
     def samples(self) -> list[tuple[Fraction, str, Fraction, str]]:
-        """(time, flow, rate, regime) rows at sample_step granularity."""
-        rows = []
-        for regime in REGIMES:
-            segs = self.segments[regime]
-            flow_ids = sorted(segs[0].rates)
-            for flow_id in flow_ids:
-                t = Fraction(0)
-                while t < self.horizon:
-                    seg = next(s for s in segs if s.start <= t < s.end)
-                    rows.append((t, flow_id, seg.rates[flow_id], regime))
-                    t += self.sample_step
-        return rows
+        """(time, flow, rate, regime) rows at sample_step granularity.
+
+        Rows are ordered by regime (``REGIMES`` order, which is also
+        alphabetical), then flow id, then time; times run from 0 up to but
+        excluding the horizon.
+        """
+        times = self._sample_times()
+        return [
+            (t, flow_id, rate, regime)
+            for first, stop, flow_id, rate, regime in self._blocks(times)
+            for t in times[first:stop]
+        ]
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
+        """``samples()`` as CSV with a header, in the same row order.
+
+        Times and rates are written as ``repr(float(...))``. Each sample
+        time is formatted once, and each segment's rate once per flow.
+        """
+        times = self._sample_times()
+        stamps = [repr(float(t)) for t in times]
+        row = io.StringIO()
+        writer = csv.writer(row, lineterminator="\n")
         writer.writerow(["time", "flow", "rate", "regime"])
-        for t, flow_id, rate, regime in sorted(
-            self.samples(), key=lambda r: (r[3], r[1], r[0])
-        ):
-            writer.writerow([repr(float(t)), flow_id, repr(float(rate)), regime])
-        return buf.getvalue()
+        lines = [row.getvalue()]
+        for first, stop, flow_id, rate, regime in self._blocks(times):
+            # A block's rows differ only in the time, which never needs quoting.
+            row.seek(0)
+            row.truncate()
+            writer.writerow(("", flow_id, repr(float(rate)), regime))
+            tail = row.getvalue()
+            lines += [stamp + tail for stamp in stamps[first:stop]]
+        return "".join(lines)
+
+    def _sample_times(self) -> list[Fraction]:
+        times, t = [], Fraction(0)
+        while t < self.horizon:
+            times.append(t)
+            t += self.sample_step
+        return times
+
+    def _blocks(self, times: list[Fraction]):
+        """(first, stop, flow, rate, regime): ``times[first:stop]`` share a rate.
+
+        Yielded in row order. Segments are contiguous from 0, so one
+        forward pass maps each sample time to its segment.
+        """
+        for regime in REGIMES:
+            segs = self.segments[regime]
+            runs, first = [], 0
+            for seg in segs:
+                stop = bisect.bisect_left(times, seg.end, first)
+                if stop > first:
+                    runs.append((first, stop, seg.rates))
+                first = stop
+            for flow_id in sorted(segs[0].rates):
+                for first, stop, rates in runs:
+                    yield first, stop, flow_id, rates[flow_id], regime
 
 
 def path_edges(path: Sequence[str]) -> tuple[tuple[str, str], ...]:
@@ -481,6 +543,11 @@ def convergence_timeline(
     the converged routes. Plain fast reroute runs the looped walks until the
     control plane converges. With shortcutting, the looped walks last one
     ``shortcut_delay`` and the shortcut routes take over until convergence.
+
+    Each of the five route sets (pre-failure, blackholed, fast reroute,
+    shortcut, converged) is solved by ``maxmin_throughput`` at most once,
+    and only if some regime keeps a non-empty phase on it; segments of the
+    same route set share their ``rates`` and ``routes`` mappings.
     """
     t_eff = as_fraction(failure_effective)
     cp = as_fraction(control_plane_delay)
@@ -497,45 +564,52 @@ def convergence_timeline(
         raise ValueError("horizon must extend past the failure instant")
 
     caps = {e: as_fraction(c) for e, c in capacities.items()}
+    phases = {
+        "pre": {p.flow_id: p.pre_route for p in plans},
+        "blackhole": {p.flow_id: (None if p.affected else p.pre_route) for p in plans},
+        "frr": {p.flow_id: (p.frr_route if p.affected else p.pre_route) for p in plans},
+        "scut": {p.flow_id: (p.shortcut_route if p.affected else p.pre_route) for p in plans},
+        "conv": {p.flow_id: p.converged_route for p in plans},
+    }
+    solved: dict[str, tuple[dict, dict]] = {}
 
-    def rates_for(phase_routes: dict[str, tuple[tuple[str, str], ...] | None]):
-        present = {f: r for f, r in phase_routes.items() if r is not None}
-        rates = maxmin_throughput(present, caps)
-        return {f: rates.get(f, Fraction(0)) for f in phase_routes}, {
-            f: (r or ()) for f, r in phase_routes.items()
-        }
+    def rates_for(phase: str):
+        """Max-min rates and routes of a phase, solved on first use only."""
+        if phase not in solved:
+            phase_routes = phases[phase]
+            present = {f: r for f, r in phase_routes.items() if r is not None}
+            rates = maxmin_throughput(present, caps)
+            solved[phase] = (
+                {f: rates.get(f, Fraction(0)) for f in phase_routes},
+                {f: (r or ()) for f, r in phase_routes.items()},
+            )
+        return solved[phase]
 
-    pre = {p.flow_id: p.pre_route for p in plans}
-    frr = {p.flow_id: (p.frr_route if p.affected else p.pre_route) for p in plans}
-    scut = {p.flow_id: (p.shortcut_route if p.affected else p.pre_route) for p in plans}
-    conv = {p.flow_id: p.converged_route for p in plans}
-    blackhole = {p.flow_id: (None if p.affected else p.pre_route) for p in plans}
-
-    def build(regime: str, phases: list[tuple[Fraction, Fraction, dict]]):
+    def build(regime: str, spans: list[tuple[Fraction, Fraction, str]]):
         segs = []
-        for start, stop, phase_routes in phases:
+        for start, stop, phase in spans:
             start, stop = min(start, end), min(stop, end)
             if stop <= start:
                 continue
-            rates, routes = rates_for(phase_routes)
+            rates, routes = rates_for(phase)
             segs.append(TimelineSegment(start, stop, regime, rates, routes))
         return segs
 
     control = build(REGIME_CONTROL, [
-        (Fraction(0), t_eff, pre),
-        (t_eff, t_eff + cp, blackhole),
-        (t_eff + cp, end, conv),
+        (Fraction(0), t_eff, "pre"),
+        (t_eff, t_eff + cp, "blackhole"),
+        (t_eff + cp, end, "conv"),
     ])
     frr_only = build(REGIME_FRR, [
-        (Fraction(0), t_eff, pre),
-        (t_eff, t_eff + cp, frr),
-        (t_eff + cp, end, conv),
+        (Fraction(0), t_eff, "pre"),
+        (t_eff, t_eff + cp, "frr"),
+        (t_eff + cp, end, "conv"),
     ])
     frr_shortcut = build(REGIME_SHORTCUT, [
-        (Fraction(0), t_eff, pre),
-        (t_eff, t_eff + min(sc, cp), frr),
-        (t_eff + min(sc, cp), t_eff + cp, scut),
-        (t_eff + cp, end, conv),
+        (Fraction(0), t_eff, "pre"),
+        (t_eff, t_eff + min(sc, cp), "frr"),
+        (t_eff + min(sc, cp), t_eff + cp, "scut"),
+        (t_eff + cp, end, "conv"),
     ])
     return Timeline(
         segments={

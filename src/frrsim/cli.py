@@ -343,31 +343,29 @@ def cmd_timeline(config_path: str, output_dir: str | None):
 
 
 def build_timeline(config: ScenarioConfig) -> analysis.Timeline:
-    """Assemble the timeline plan from a scenario config and simulate it."""
+    """Assemble the timeline plan from a scenario config and simulate it.
+
+    The ``throughput`` section is checked before any flow is compiled, so a
+    bad value there is reported before a flow's error.
+    """
     params = config.throughput or {}
     topology = build_topology(config.topology)
     flows = _flows_of(config, topology)
     if config.failures["kind"] != "explicit":
         raise ConfigError("timeline requires an explicit failure set")
     failures = _failure_sets(config, topology, flows)[0]
-    compiler = SchemeCompiler(topology, config.scheme)
 
-    plans = []
-    for flow in flows:
-        state = compiler.compile(flow)
-        pre_trace = route_packet(state, topology, FailureSet.none(), flow)
-        fp = shortcut_fixpoint(state, topology, failures, flow)
-        plans.append(analysis.build_flow_plan(topology, failures, flow, pre_trace, fp))
     background = params.get("background_flows", [])
     if not isinstance(background, list):
         raise ConfigError("throughput.background_flows must be a list")
+    background_plans = []
     for i, bg in enumerate(background):
         if not isinstance(bg, dict) or not {"source", "destination", "route"} <= bg.keys():
             raise ConfigError(
                 f"throughput.background_flows[{i}] needs source, destination and route"
             )
         flow_id = bg.get("flow_id", f"{bg['source']}->{bg['destination']}")
-        plans.append(
+        background_plans.append(
             analysis.background_flow_plan(topology, failures, flow_id, bg["route"])
         )
 
@@ -384,15 +382,22 @@ def build_timeline(config: ScenarioConfig) -> analysis.Timeline:
                 raise ConfigError(f"throughput.capacities key {key!r} must be 'u,v'")
             capacities[(u, v)] = _number(rate, f"throughput.capacities[{key!r}]")
     number = lambda name, default: _number(params.get(name, default), f"throughput.{name}")
-    return analysis.convergence_timeline(
-        plans,
-        capacities,
-        failure_effective=number("failure_effective", 2.0),
-        control_plane_delay=number("control_plane_delay", 2.0),
-        shortcut_delay=number("shortcut_delay", 0.2),
-        sample_step=number("sample_step", 0.1),
-        horizon=None if params.get("horizon") is None else number("horizon", None),
-    )
+    timing = {
+        "failure_effective": number("failure_effective", 2.0),
+        "control_plane_delay": number("control_plane_delay", 2.0),
+        "shortcut_delay": number("shortcut_delay", 0.2),
+        "sample_step": number("sample_step", 0.1),
+        "horizon": None if params.get("horizon") is None else number("horizon", None),
+    }
+
+    compiler = SchemeCompiler(topology, config.scheme)
+    plans = []
+    for flow in flows:
+        state = compiler.compile(flow)
+        pre_trace = route_packet(state, topology, FailureSet.none(), flow)
+        fp = shortcut_fixpoint(state, topology, failures, flow)
+        plans.append(analysis.build_flow_plan(topology, failures, flow, pre_trace, fp))
+    return analysis.convergence_timeline(plans + background_plans, capacities, **timing)
 
 
 def _number(value, name: str) -> Fraction:

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import csv
+import io
 from fractions import Fraction
 
 import pytest
@@ -30,6 +32,7 @@ from frrsim import (
 )
 from frrsim import analysis, shortcut
 from frrsim.analysis import (
+    as_fraction,
     background_flow_plan,
     build_flow_plan,
     convergence_timeline,
@@ -472,6 +475,45 @@ class TestLinkLoads:
         assert link_loads([]) == {}
 
 
+def progressive_maxmin(routes, capacities, demands=None):
+    """Reference: the progressive water-filling ``maxmin_throughput`` replaced
+    by the event-driven one, kept verbatim. Each step rescans every edge."""
+    demand = {f: as_fraction((demands or {}).get(f, 1)) for f in routes}
+    residual: dict[tuple[str, str], Fraction] = {}
+    users: dict[tuple[str, str], set[str]] = {}
+    for flow_id, edges in routes.items():
+        for edge in edges:
+            if edge not in capacities:
+                raise ValueError(f"no capacity defined for edge {edge}")
+            cap = as_fraction(capacities[edge])
+            if cap <= 0:
+                raise ValueError(f"flow {flow_id!r} routed over zero-capacity edge {edge}")
+            residual[edge] = cap
+            users.setdefault(edge, set()).add(flow_id)
+
+    rates = {f: Fraction(0) for f in routes}
+    active = set(routes)
+    while active:
+        increments = [demand[f] - rates[f] for f in active]
+        for edge, flows_on_edge in users.items():
+            sharing = flows_on_edge & active
+            if sharing:
+                increments.append(residual[edge] / len(sharing))
+        delta = min(increments)
+        for f in active:
+            rates[f] += delta
+        for edge, flows_on_edge in users.items():
+            residual[edge] -= delta * len(flows_on_edge & active)
+        frozen = {f for f in active if rates[f] == demand[f]}
+        for edge, flows_on_edge in users.items():
+            if residual[edge] == 0:
+                frozen |= flows_on_edge & active
+        if not frozen:  # all increments were zero; nothing can grow
+            break
+        active -= frozen
+    return rates
+
+
 def is_maxmin_fair(routes, capacities, rates, demands=None) -> bool:
     """Oracle: every unsaturated-demand flow has a bottleneck link it maxes."""
     demands = demands or {}
@@ -516,12 +558,48 @@ class TestMaxMin:
         }
 
     def test_zero_capacity_route_is_an_error(self):
-        with pytest.raises(ValueError, match="zero-capacity"):
+        with pytest.raises(ValueError) as excinfo:
             maxmin_throughput({"f": [("u", "v")]}, {("u", "v"): 0})
+        assert str(excinfo.value) == "flow 'f' routed over zero-capacity edge ('u', 'v')"
 
     def test_missing_capacity_is_an_error(self):
-        with pytest.raises(ValueError, match="capacity"):
+        with pytest.raises(ValueError) as excinfo:
             maxmin_throughput({"f": [("u", "v")]}, {})
+        assert str(excinfo.value) == "no capacity defined for edge ('u', 'v')"
+
+    @settings(max_examples=120, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_equals_progressive_filling(self, data):
+        edges = [(a, b) for a in "uvw" for b in "uvw" if a != b]
+        flow_ids = [f"f{i}" for i in range(8)]
+        routes = data.draw(st.dictionaries(
+            st.sampled_from(flow_ids),
+            st.lists(st.sampled_from(edges), max_size=5),  # empty and repeated edges too
+            max_size=8,
+        ))
+        rate = st.one_of(st.integers(1, 3), st.fractions(Fraction(1, 9), 3, max_denominator=9))
+        capacities = dict(zip(edges, data.draw(st.lists(rate, min_size=6, max_size=6))))
+        if data.draw(st.integers(0, 9)) == 0:  # sometimes a zero-capacity or missing edge
+            broken = data.draw(st.sampled_from(edges))
+            if data.draw(st.booleans()):
+                capacities[broken] = 0
+            else:
+                del capacities[broken]
+        demands = data.draw(st.dictionaries(
+            st.sampled_from(flow_ids),
+            st.one_of(st.just(0), st.fractions(0, 2, max_denominator=9)),  # around the levels
+        ))
+        try:
+            expected = progressive_maxmin(routes, capacities, demands)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as excinfo:
+                maxmin_throughput(routes, capacities, demands)
+            assert str(excinfo.value) == str(exc)
+            return
+        rates = maxmin_throughput(routes, capacities, demands)
+        assert list(rates.items()) == list(expected.items())
+        assert all(type(r) is Fraction for r in rates.values())
+        assert is_maxmin_fair(routes, capacities, rates, demands)
 
     @pytest.mark.parametrize(
         "routes,caps",
@@ -547,6 +625,33 @@ def figure1_plans(figure1, figure1_flow, figure1_state, s2s4_failure):
         background_flow_plan(figure1, s2s4_failure, "S2->H", ["S2", "S1", "H"]),
     ]
     return plans
+
+
+def scanned_samples(timeline):
+    """Reference: each sample's segment found by a scan over the segments."""
+    rows = []
+    for regime in analysis.REGIMES:
+        segs = timeline.segments[regime]
+        flow_ids = sorted(segs[0].rates)
+        for flow_id in flow_ids:
+            t = Fraction(0)
+            while t < timeline.horizon:
+                seg = next(s for s in segs if s.start <= t < s.end)
+                rows.append((t, flow_id, seg.rates[flow_id], regime))
+                t += timeline.sample_step
+    return rows
+
+
+def scan_and_sort_csv(timeline):
+    """Reference: the scanned samples sorted by (regime, flow, time), one row each."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["time", "flow", "rate", "regime"])
+    for t, flow_id, rate, regime in sorted(
+        scanned_samples(timeline), key=lambda r: (r[3], r[1], r[0])
+    ):
+        writer.writerow([repr(float(t)), flow_id, repr(float(rate)), regime])
+    return buf.getvalue()
 
 
 class TestTimeline:
@@ -653,6 +758,69 @@ class TestTimeline:
     def test_background_route_must_avoid_the_failure(self, figure1, s2s4_failure):
         with pytest.raises(ValueError, match="crosses the failure"):
             background_flow_plan(figure1, s2s4_failure, "bad", ["S2", "S4", "D"])
+
+    @pytest.mark.parametrize(
+        "t_eff,cp,sc,horizon,calls",
+        [
+            (2, 2, Fraction(1, 5), 8, 5),  # pre, blackhole, frr, shortcut, converged
+            (2, 2, 0, 8, 5),  # frr only in frr_only; shortcut right at the failure
+            (2, 0, Fraction(1, 5), 8, 2),  # every failure phase clipped: pre, converged
+            (0, 2, Fraction(1, 5), 8, 4),  # no pre phase
+            (2, 2, Fraction(1, 5), Fraction(21, 10), 3),  # pre, blackhole, frr
+        ],
+    )
+    def test_one_maxmin_per_distinct_route_set(
+        self, figure1, figure1_flow, figure1_state, s2s4_failure, monkeypatch,
+        t_eff, cp, sc, horizon, calls,
+    ):
+        plans = figure1_plans(figure1, figure1_flow, figure1_state, s2s4_failure)
+        solved = []
+
+        def counting(routes, capacities, demands=None):
+            solved.append(dict(routes))
+            return maxmin_throughput(routes, capacities, demands)
+
+        monkeypatch.setattr(analysis, "maxmin_throughput", counting)
+        tl = convergence_timeline(
+            plans, unit_capacities(figure1), failure_effective=t_eff,
+            control_plane_delay=cp, shortcut_delay=sc, horizon=horizon,
+        )
+        assert len(solved) == calls
+        for segments in tl.segments.values():
+            for seg in segments:
+                present = {f: r for f, r in seg.routes.items() if r}
+                assert present in solved
+                rates = maxmin_throughput(present, unit_capacities(figure1))
+                assert seg.rates == {f: rates.get(f, Fraction(0)) for f in seg.routes}
+
+    @pytest.mark.parametrize(
+        "t_eff,cp,sc,step,horizon",
+        [
+            (2, 2, Fraction(1, 5), Fraction(1, 10), 8),
+            (2, 0, Fraction(1, 5), Fraction(2, 5), Fraction(53, 10)),  # clipped phases
+            (0, 2, 0, Fraction(3, 10), Fraction(77, 20)),  # clipped pre and frr phases
+            (Fraction(1, 3), 3, 1, Fraction(1, 7), 2),  # horizon clips the plateau
+            (2, 2, Fraction(1, 5), 5, 9),  # fewer samples than segments
+        ],
+    )
+    def test_rows_match_scan_and_sort(
+        self, figure1, figure1_flow, figure1_state, s2s4_failure, t_eff, cp, sc, step, horizon
+    ):
+        plans = figure1_plans(figure1, figure1_flow, figure1_state, s2s4_failure)
+        tl = convergence_timeline(
+            plans, unit_capacities(figure1), failure_effective=t_eff,
+            control_plane_delay=cp, shortcut_delay=sc, sample_step=step, horizon=horizon,
+        )
+        assert tl.samples() == scanned_samples(tl)
+        assert tl.to_csv() == scan_and_sort_csv(tl)
+
+    def test_csv_quotes_flow_ids_like_the_csv_module(self):
+        seg = analysis.TimelineSegment(
+            Fraction(0), Fraction(1), "", {'a,"b"': Fraction(1, 3), "c": Fraction(1)}, {}
+        )
+        tl = analysis.Timeline({r: [seg] for r in analysis.REGIMES}, Fraction(1, 4), Fraction(1))
+        assert tl.to_csv() == scan_and_sort_csv(tl)
+        assert '\n0.25,"a,""b""",0.3333333333333333,control_plane\n' in tl.to_csv()
 
     def test_csv_shape(self, figure1, figure1_flow, figure1_state, s2s4_failure):
         plans = figure1_plans(figure1, figure1_flow, figure1_state, s2s4_failure)

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from frrsim.cli import ConfigError, ScenarioConfig, main
+from frrsim.cli import ConfigError, ScenarioConfig, SchemeCompiler, main
 from frrsim.scenarios import figure1_config
 
 
@@ -332,6 +332,19 @@ class TestTimelineCommand:
         result = runner.invoke(main, ["timeline", path, "--output-dir", str(tmp_path)])
         assert result.exit_code == 1, result.output
         assert f"Error: {message}" in result.output
+
+    def test_bad_throughput_is_rejected_before_any_flow_compiles(
+        self, runner, tmp_path, monkeypatch
+    ):
+        compiled = []
+        monkeypatch.setattr(SchemeCompiler, "compile", lambda self, flow: compiled.append(flow))
+        cfg = figure1_config()
+        cfg["throughput"]["horizon"] = "soon"
+        path = write_config(tmp_path, "badhorizon.json", cfg)
+        result = runner.invoke(main, ["timeline", path, "--output-dir", str(tmp_path)])
+        assert result.exit_code == 1, result.output
+        assert "Error: throughput.horizon must be a number, got 'soon'" in result.output
+        assert compiled == []
 
 
 class TestGenerateCommand:

@@ -5,7 +5,8 @@ change with a deliberate behaviour change. Such a change updates the digests
 below and records why in CHANGES.md. Scenarios: both bundled configs
 (``run``, ``verify`` and, for figure1, ``timeline``), plus all-pairs link
 sweeps that exercise greedy pins (hypercube(3)) and cross-partition
-truncation (k=2 on torus(3,3)).
+truncation (k=2 on torus(3,3)), and an all-pairs timeline on torus(4,4)
+with mixed link rates, a background flow and a ragged horizon.
 """
 
 from __future__ import annotations
@@ -35,11 +36,32 @@ def _all_pairs_sweep(topology: dict, scheme: dict) -> dict:
     }
 
 
+def _timeline_torus44() -> dict:
+    """All-pairs partition k=2 timeline on torus(4,4) with mixed link rates."""
+    config = _all_pairs_sweep({"kind": "torus", "a": 4, "b": 4}, {"kind": "partition", "k": 2})
+    edges = build_topology(config["topology"]).directed_edges()
+    rates = (1, 2, "3/2")
+    config["failures"] = {"kind": "explicit", "links": [["1_1", "1_2"]], "nodes": []}
+    config["throughput"] = {
+        "capacities": {f"{u},{v}": rates[i % 3] for i, (u, v) in enumerate(edges)},
+        "background_flows": [
+            {"source": "0_0", "destination": "0_2", "route": ["0_0", "0_1", "0_2"]}
+        ],
+        "failure_effective": 1.5,
+        "control_plane_delay": 2.5,
+        "shortcut_delay": 0.3,
+        "sample_step": 0.25,
+        "horizon": 7.1,
+    }
+    return config
+
+
 GENERATED = {
     "greedy_hypercube3": _all_pairs_sweep({"kind": "hypercube", "d": 3}, {"kind": "greedy"}),
     "partition2_torus33": _all_pairs_sweep(
         {"kind": "torus", "a": 3, "b": 3}, {"kind": "partition", "k": 2}
     ),
+    "timeline_torus44": _timeline_torus44(),
 }
 
 # (scenario, command) -> (exit code, files whose digests are pinned)
@@ -51,6 +73,7 @@ RUNS = {
     ("torus_sweep", "verify"): (0, ("verify.json",)),
     ("greedy_hypercube3", "run"): (0, ("report.json", "audit.jsonl")),
     ("partition2_torus33", "run"): (0, ("report.json", "audit.jsonl")),
+    ("timeline_torus44", "timeline"): (0, ("timeline.csv",)),
 }
 
 GOLDEN = {
@@ -73,6 +96,9 @@ GOLDEN = {
     ("partition2_torus33", "run"): {
         "report.json": "5ec5f01c3b7360c29ddfba4f7eb8316d8dc60d3efe51993530709fae508e4718",
         "audit.jsonl": "057396c5bfe0255e7073c2e6153e78775e47a761964ab7c7755163987c0ac7c0",
+    },
+    ("timeline_torus44", "timeline"): {
+        "timeline.csv": "cd07c834df4eb67cb2baa36e2e1c31980e9664894422836a2504a4f9513931a1",
     },
     ("torus_sweep", "run"): {
         "traces.json": "3e48102fe5e146ee198cd4278e1837ab389e62f2d22d10b27a6a450cf0b8df69",
