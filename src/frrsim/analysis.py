@@ -527,6 +527,19 @@ def unit_capacities(topology: Topology) -> dict[tuple[str, str], Fraction]:
     return {edge: Fraction(1) for edge in topology.directed_edges()}
 
 
+def check_timing(t_eff: Fraction, cp: Fraction, sc: Fraction, step: Fraction,
+                 end: Fraction | None) -> None:
+    """Reject ``convergence_timeline`` timing (None horizon: default) naming the argument."""
+    for name, v in (("failure_effective", t_eff), ("control_plane_delay", cp),
+                    ("shortcut_delay", sc), ("sample_step", step)):
+        if v < 0:
+            raise ValueError(f"{name} must be non-negative")
+    if step == 0:
+        raise ValueError("sample_step must be positive")
+    if end is not None and end <= t_eff:
+        raise ValueError("horizon must extend past the failure instant")
+
+
 def convergence_timeline(
     plans: Sequence[FlowTimelinePlan],
     capacities: Mapping[tuple[str, str], object],
@@ -553,16 +566,8 @@ def convergence_timeline(
     cp = as_fraction(control_plane_delay)
     sc = as_fraction(shortcut_delay)
     step = as_fraction(sample_step)
-    for name, v in (("failure_effective", t_eff), ("control_plane_delay", cp),
-                    ("shortcut_delay", sc), ("sample_step", step)):
-        if v < 0:
-            raise ValueError(f"{name} must be non-negative")
-    if step == 0:
-        raise ValueError("sample_step must be positive")
     end = as_fraction(horizon) if horizon is not None else t_eff + cp + Fraction(2)
-    if end <= t_eff:
-        raise ValueError("horizon must extend past the failure instant")
-
+    check_timing(t_eff, cp, sc, step, end)
     caps = {e: as_fraction(c) for e, c in capacities.items()}
     phases = {
         "pre": {p.flow_id: p.pre_route for p in plans},

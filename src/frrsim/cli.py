@@ -14,6 +14,7 @@ the same config produce byte-identical outputs.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import sys
@@ -36,100 +37,91 @@ class ConfigError(ValueError):
     """Scenario config is malformed; message names the offending field."""
 
 
-def _object(value, name: str) -> dict:
+CONFIG_FIELDS = {"topology", "flows", "scheme", "failures", "throughput", "output_dir"}
+SCHEME_FIELDS = {"arborescence": {"k"}, "partition": {"k", "paths"}, "greedy": set()}
+FAILURE_FIELDS = {"explicit": {"links", "nodes"}, "sweep_links": set(), "sweep_nodes": set()}
+# convergence_timeline's timing keywords, in its argument order
+TIMING_DEFAULTS = {"failure_effective": Fraction(2), "control_plane_delay": Fraction(2),
+                   "shortcut_delay": Fraction(1, 5), "sample_step": Fraction(1, 10),
+                   "horizon": None}
+
+
+def _object(value, name: str, fields: set[str] | dict | None = None,
+            required: tuple = ()) -> dict:
+    """``value`` as a JSON object with the ``required`` keys and none outside ``fields``,
+    which may instead map each allowed ``kind`` to the other keys that kind takes."""
     if not isinstance(value, dict):
         raise ConfigError(f"{name} must be a JSON object")
-    return dict(value)
+    if isinstance(fields, dict):
+        kind = value.get("kind")
+        if kind not in fields:
+            raise ConfigError(f"{name}.kind must be {'|'.join(fields)}, got {kind!r}")
+        fields = {"kind", *fields[kind]}
+    if fields is not None and not set(value) <= fields:
+        raise ConfigError(f"unknown {name} fields: {sorted(set(value) - fields)}")
+    if not all(key in value for key in required):
+        raise ConfigError(f"{name} needs {', '.join(required[:-1])} and {required[-1]}")
+    return value
 
 
-@dataclass
+def _is_name_list(value) -> bool:
+    return isinstance(value, (list, tuple)) and all(isinstance(v, str) for v in value)
+
+
+def _number(value, name: str) -> Fraction:
+    try:
+        return analysis.as_fraction(value)
+    except ValueError:
+        raise ConfigError(f"{name} must be a number, got {value!r}") from None
+
+
+@contextlib.contextmanager
+def _named(prefix: str, error: type[Exception] = ConfigError):
+    """Re-raise a library error from the block as ``error`` with ``prefix``."""
+    try:
+        yield
+    except (ValueError, frr.DecompositionError) as exc:
+        raise error(f"{prefix}{exc}") from None
+
+
+@dataclass(frozen=True)
 class ScenarioConfig:
-    topology: dict
-    flows: list[dict]
-    scheme: dict
-    failures: dict
-    throughput: dict | None = None
-    output_dir: str | None = None
+    """A scenario config, parsed once and checked against its topology.
+
+    ``failures`` is the explicit failure set or the sweep kind. The last three
+    fields hold the ``throughput`` section and are None without one.
+    """
+
+    topology: Topology
+    flows: tuple[Flow, ...]
+    scheme: str
+    k: int | None
+    paths: tuple[tuple[str, ...], ...] | None
+    failures: FailureSet | str
+    output_dir: str | None
+    capacities: dict[tuple[str, str], Fraction] | None
+    background: tuple[tuple[Flow, tuple[str, ...]], ...] | None  # (flow, route) pairs
+    timing: dict[str, Fraction | None] | None  # convergence_timeline's keyword arguments
 
     @classmethod
     def from_dict(cls, data: dict) -> "ScenarioConfig":
-        if not isinstance(data, dict):
-            raise ConfigError("scenario config must be a JSON object")
-        unknown = set(data) - {
-            "topology", "flows", "scheme", "failures", "throughput", "output_dir",
-        }
-        if unknown:
-            raise ConfigError(f"unknown config fields: {sorted(unknown)}")
-        for key in ("topology", "flows", "scheme", "failures"):
-            if key not in data:
-                raise ConfigError(f"config field '{key}' is required")
-        if not isinstance(data["flows"], list):
-            raise ConfigError("flows must be a list")
-        throughput = data.get("throughput")
-        cfg = cls(
-            topology=_object(data["topology"], "topology"),
-            flows=[_object(f, f"flows[{i}]") for i, f in enumerate(data["flows"])],
-            scheme=_object(data["scheme"], "scheme"),
-            failures=_object(data["failures"], "failures"),
-            throughput=_object(throughput, "throughput") if throughput else None,
-            output_dir=data.get("output_dir"),
-        )
-        cfg._validate()
-        return cfg
-
-    def _validate(self) -> None:
-        if self.topology.get("kind") == "random" and "seed" not in self.topology:
-            raise ConfigError("topology.seed is mandatory for random topologies")
-        if not self.flows:
+        data = _object(data, "config", CONFIG_FIELDS, ("topology", "flows", "scheme", "failures"))
+        with _named(""):
+            topology = build_topology(_object(data["topology"], "topology"))
+        flows = _flows(data["flows"], "flows", topology)
+        if not flows:
             raise ConfigError("flows must not be empty")
-        for i, f in enumerate(self.flows):
-            if "source" not in f or "destination" not in f:
-                raise ConfigError(f"flows[{i}] needs source and destination")
-        kind = self.scheme.get("kind")
-        if kind not in ("arborescence", "partition", "greedy"):
-            raise ConfigError(f"scheme.kind must be arborescence|partition|greedy, got {kind!r}")
-        if kind == "arborescence" and "k" not in self.scheme:
-            raise ConfigError("scheme.k is required for arborescence")
-        if kind == "partition" and "k" not in self.scheme and "paths" not in self.scheme:
-            raise ConfigError("partition scheme needs k or explicit paths")
-        if kind == "partition" and "paths" in self.scheme:
-            paths = self.scheme["paths"]
-            if not isinstance(paths, (list, tuple)):
-                raise ConfigError("scheme.paths must be a list")
-            for i, path in enumerate(paths):
-                if not isinstance(path, (list, tuple)) or not all(isinstance(v, str) for v in path):
-                    raise ConfigError(f"scheme.paths[{i}] must be a list of node names")
-        fkind = self.failures.get("kind")
-        if fkind not in ("explicit", "sweep_links", "sweep_nodes"):
-            raise ConfigError(
-                f"failures.kind must be explicit|sweep_links|sweep_nodes, got {fkind!r}"
-            )
-        if fkind == "explicit":
-            links = self.failures.get("links", [])
-            if not isinstance(links, (list, tuple)):
-                raise ConfigError("failures.links must be a list")
-            for i, link in enumerate(links):
-                if (not isinstance(link, (list, tuple)) or len(link) != 2
-                        or not all(isinstance(v, str) for v in link)):
-                    raise ConfigError(f"failures.links[{i}] must be a pair of node names")
-            if not isinstance(self.failures.get("nodes", []), (list, tuple)):
-                raise ConfigError("failures.nodes must be a list")
-
-    def to_dict(self) -> dict:
-        out: dict = {
-            "topology": self.topology,
-            "flows": self.flows,
-            "scheme": self.scheme,
-            "failures": self.failures,
-        }
-        if self.throughput is not None:
-            out["throughput"] = self.throughput
-        if self.output_dir is not None:
-            out["output_dir"] = self.output_dir
-        return out
+        if not isinstance(data.get("output_dir"), (str, type(None))):
+            raise ConfigError("output_dir must be a string")
+        throughput = data.get("throughput")
+        return cls(topology, flows, *_scheme(data["scheme"], topology, flows),
+                   _failures(data["failures"], topology), data.get("output_dir"),
+                   *((None,) * 3 if throughput is None else _throughput(throughput, topology)))
 
     @classmethod
-    def load(cls, path: str) -> "ScenarioConfig":
+    def load(cls, path: str, fail: str | None = None,
+             scheme: str | None = None) -> "ScenarioConfig":
+        """Read and parse a config file, with ``--fail``/``--scheme`` applied."""
         try:
             text = Path(path).read_text(encoding="utf-8")
         except OSError as exc:
@@ -140,60 +132,134 @@ class ScenarioConfig:
             raise ConfigError(
                 f"{path}:{exc.lineno}:{exc.colno}: invalid JSON: {exc.msg}"
             ) from exc
+        if fail is not None and not fail.startswith("node:") and fail.count(",") != 1:
+            raise ConfigError("--fail expects 'a,b' (link) or 'node:x'")
+        if isinstance(data, dict) and fail is not None:
+            key, value = (("nodes", fail[5:]) if fail.startswith("node:")
+                          else ("links", fail.split(",")))
+            data["failures"] = {"kind": "explicit", key: [value]}
+        if isinstance(data, dict) and scheme is not None:
+            name, _, k = scheme.partition(":")
+            data["scheme"] = {"kind": name, **({"k": int(k) if k.isdecimal() else k} if k else {})}
         return cls.from_dict(data)
+
+
+def _flows(raw, name: str, topology: Topology, routed: bool = False) -> tuple:
+    """A list of flow entries as Flows, or as (Flow, route) pairs when ``routed``."""
+    if not isinstance(raw, list):
+        raise ConfigError(f"{name} must be a list")
+    required = ("source", "destination", "route")[:3 if routed else 2]
+    flows = {}
+    for i, entry in enumerate(raw):
+        entry = _object(entry, f"{name}[{i}]", {"flow_id", *required}, required)
+        with _named(f"{name}[{i}]: "):
+            flow = Flow(str(entry["source"]), str(entry["destination"]),
+                        str(entry.get("flow_id") or ""))
+            flow.validate(topology)
+        if flow.flow_id in flows:
+            raise ConfigError(f"{name}[{i}] repeats flow id {flow.flow_id!r}")
+        route = entry.get("route")
+        if routed and not (_is_name_list(route) and route and (route[0], route[-1]) == (
+                flow.source, flow.destination)):
+            raise ConfigError(
+                f"{name}[{i}].route must be a list of nodes from source to destination")
+        flows[flow.flow_id] = (flow, tuple(route)) if routed else flow
+    return tuple(flows.values())
+
+
+def _scheme(raw, topology: Topology, flows: tuple[Flow, ...]):
+    """The scheme kind, ``k`` and explicit ``paths`` (checked for every flow)."""
+    raw = _object(raw, "scheme", SCHEME_FIELDS)
+    kind, k, paths = raw["kind"], raw.get("k"), raw.get("paths")
+    if kind == "arborescence" and k is None:
+        raise ConfigError("scheme.k is required for arborescence")
+    if kind == "partition" and k is None and paths is None:
+        raise ConfigError("partition scheme needs k or explicit paths")
+    if k is not None and (isinstance(k, bool) or not isinstance(k, int) or k < 1):
+        raise ConfigError(f"scheme.k must be a positive integer, got {k!r}")
+    if paths is None:
+        return kind, k, None
+    if not isinstance(paths, (list, tuple)):
+        raise ConfigError("scheme.paths must be a list")
+    for i, path in enumerate(paths):
+        if not _is_name_list(path):
+            raise ConfigError(f"scheme.paths[{i}] must be a list of node names")
+    paths = tuple(tuple(p) for p in paths)
+    with _named("scheme.paths: "):
+        for flow in flows:
+            frr.PartitionScheme(flow=flow, paths=paths, relaxed=True).validate(topology)
+    return kind, k, paths
+
+
+def _failures(raw, topology: Topology) -> FailureSet | str:
+    raw = _object(raw, "failures", FAILURE_FIELDS)
+    if raw["kind"] != "explicit":
+        return raw["kind"]
+    links, nodes = raw.get("links", []), raw.get("nodes", [])
+    if not isinstance(links, (list, tuple)):
+        raise ConfigError("failures.links must be a list")
+    for i, link in enumerate(links):
+        if not _is_name_list(link) or len(link) != 2:
+            raise ConfigError(f"failures.links[{i}] must be a pair of node names")
+    if not _is_name_list(nodes):
+        raise ConfigError("failures.nodes must be a list of node names")
+    failures = FailureSet.of(links=[tuple(l) for l in links], nodes=nodes)
+    with _named("failures: "):
+        failures.validate(topology)
+    return failures
+
+
+def _throughput(raw, topology: Topology):
+    """The ``throughput`` section: a positive rate for every directed link (and
+    nothing else), background (flow, route) pairs and the timing."""
+    params = _object(raw, "throughput", {"capacities", "background_flows", *TIMING_DEFAULTS})
+    background = _flows(params.get("background_flows", []), "throughput.background_flows",
+                        topology, routed=True)
+    timing = {key: default if params.get(key) is None else _number(params[key], f"throughput.{key}")
+              for key, default in TIMING_DEFAULTS.items()}
+    with _named("throughput."):
+        analysis.check_timing(*timing.values())
+    spec, edges = params.get("capacities", "unit"), set(topology.directed_edges())
+    if spec == "unit":
+        return analysis.unit_capacities(topology), background, timing
+    if not isinstance(spec, dict):
+        raise ConfigError('throughput.capacities must be "unit" or an object')
+    capacities = {}
+    for key, rate in spec.items():
+        u, _, v = key.partition(",")
+        if (u, v) not in edges:
+            raise ConfigError(f"throughput.capacities key {key!r} must be 'u,v' for a link u-v")
+        name = f"throughput.capacities[{key!r}]"
+        capacities[(u, v)] = _number(rate, name)
+        if capacities[(u, v)] <= 0:
+            raise ConfigError(f"{name} must be positive, got {rate!r}")
+    missing = sorted(edges - capacities.keys())
+    if missing:
+        raise ConfigError(f"throughput.capacities has no rate for '{','.join(missing[0])}'")
+    return capacities, background, timing
 
 
 class SchemeCompiler:
     """Compiles per-flow forwarding state, caching per-destination structures."""
 
-    def __init__(self, topology: Topology, scheme: dict):
-        self.topology = topology
-        self.scheme = scheme
+    def __init__(self, config: ScenarioConfig):
+        self.config = config
         self._arbs: dict[str, list[frr.Arborescence]] = {}
 
     def compile(self, flow: Flow) -> ForwardingState:
-        kind = self.scheme["kind"]
-        if kind == "arborescence":
-            k = int(self.scheme["k"])
+        config, topology = self.config, self.config.topology
+        if config.scheme == "arborescence":
             root = flow.destination
             if root not in self._arbs:
-                self._arbs[root] = frr.decompose_arborescences(self.topology, root, k)
-            return frr.compile_arborescence_frr(self.topology, self._arbs[root], flow)
-        if kind == "partition":
-            if "paths" in self.scheme:
-                paths = tuple(tuple(p) for p in self.scheme["paths"])
-                scheme = frr.PartitionScheme(flow=flow, paths=paths, relaxed=True)
-                scheme.validate(self.topology)
-            else:
-                scheme = frr.compute_disjoint_paths(self.topology, flow, int(self.scheme["k"]))
-            return frr.compile_partition_frr(self.topology, scheme, flow)
-        if kind == "greedy":
-            return frr.compile_greedy_frr(self.topology, flow)
-        raise ConfigError(f"unknown scheme kind {kind!r}")
-
-
-def _flows_of(config: ScenarioConfig, topology: Topology) -> list[Flow]:
-    flows = []
-    for f in config.flows:
-        flow = Flow(str(f["source"]), str(f["destination"]), f.get("flow_id", ""))
-        flow.validate(topology)
-        flows.append(flow)
-    return flows
-
-
-def _failure_sets(config: ScenarioConfig, topology: Topology, flows: list[Flow]) -> list[FailureSet]:
-    kind = config.failures["kind"]
-    if kind == "explicit":
-        fs = FailureSet.of(
-            links=[tuple(l) for l in config.failures.get("links", [])],
-            nodes=config.failures.get("nodes", []),
-        )
-        fs.validate(topology)
-        return [fs]
-    if kind == "sweep_links":
-        return analysis.enumerate_link_failures(topology)
-    endpoints = {f.source for f in flows} | {f.destination for f in flows}
-    return analysis.enumerate_node_failures(topology, exclude=endpoints)
+                self._arbs[root] = frr.decompose_arborescences(topology, root, config.k)
+            return frr.compile_arborescence_frr(topology, self._arbs[root], flow)
+        if config.scheme == "greedy":
+            return frr.compile_greedy_frr(topology, flow)
+        if config.paths is not None:
+            scheme = frr.PartitionScheme(flow=flow, paths=config.paths, relaxed=True)
+        else:
+            scheme = frr.compute_disjoint_paths(topology, flow, config.k)
+        return frr.compile_partition_frr(topology, scheme, flow)
 
 
 def _resolve_output_dir(config: ScenarioConfig, flag_value: str | None) -> Path:
@@ -203,32 +269,24 @@ def _resolve_output_dir(config: ScenarioConfig, flag_value: str | None) -> Path:
     return path
 
 
-def _apply_overrides(config: ScenarioConfig, fail: str | None,
-                     scheme: str | None) -> ScenarioConfig:
-    if fail is not None:
-        if fail.startswith("node:"):
-            config.failures = {"kind": "explicit", "links": [], "nodes": [fail[5:]]}
+def _load_and_sweep(config_path: str, fail: str | None, scheme: str | None,
+                    output_dir: str | None) -> tuple[Path, analysis.SweepReport]:
+    """Parse the config, make the output directory and run the failure sweep."""
+    with _named("", click.ClickException):
+        config = ScenarioConfig.load(config_path, fail, scheme)
+        outdir = _resolve_output_dir(config, output_dir)
+        topology, flows, failures = config.topology, config.flows, config.failures
+        if isinstance(failures, FailureSet):
+            failure_sets = [failures]
+        elif failures == "sweep_links":
+            failure_sets = analysis.enumerate_link_failures(topology)
         else:
-            parts = fail.split(",")
-            if len(parts) != 2:
-                raise ConfigError("--fail expects 'a,b' (link) or 'node:x'")
-            config.failures = {"kind": "explicit", "links": [parts], "nodes": []}
-    if scheme is not None:
-        name, _, k = scheme.partition(":")
-        config.scheme = {"kind": name, **({"k": int(k)} if k else {})}
-    config._validate()
-    return config
-
-
-def _run_scenario(config: ScenarioConfig) -> analysis.SweepReport:
-    topology = build_topology(config.topology)
-    flows = _flows_of(config, topology)
-    failure_sets = _failure_sets(config, topology, flows)
-    compiler = SchemeCompiler(topology, config.scheme)
-    return analysis.run_failure_sweep(
-        topology, compiler.compile, flows, failure_sets,
-        check_rounds=config.failures["kind"] != "sweep_nodes",
-    )
+            endpoints = {f.source for f in flows} | {f.destination for f in flows}
+            failure_sets = analysis.enumerate_node_failures(topology, exclude=endpoints)
+        return outdir, analysis.run_failure_sweep(
+            topology, SchemeCompiler(config).compile, flows, failure_sets,
+            check_rounds=failures != "sweep_nodes",
+        )
 
 
 def _write_run_outputs(outdir: Path, report: analysis.SweepReport) -> None:
@@ -287,12 +345,7 @@ _outdir_option = click.option("--output-dir", default=None, help="Output directo
 def cmd_run(config_path: str, fail: str | None, scheme: str | None,
             output_dir: str | None):
     """Execute a scenario and write traces, audit log, and reports."""
-    try:
-        config = _apply_overrides(ScenarioConfig.load(config_path), fail, scheme)
-        outdir = _resolve_output_dir(config, output_dir)
-        report = _run_scenario(config)
-    except (ConfigError, ValueError, frr.DecompositionError) as exc:
-        raise click.ClickException(str(exc)) from exc
+    outdir, report = _load_and_sweep(config_path, fail, scheme, output_dir)
     _write_run_outputs(outdir, report)
     summary = report.summary_dict()
     click.echo(
@@ -311,12 +364,7 @@ def cmd_run(config_path: str, fail: str | None, scheme: str | None,
 def cmd_verify(config_path: str, fail: str | None, scheme: str | None,
                output_dir: str | None):
     """Run the sweep and report {cases, violations_by_kind}; exit 0 iff clean."""
-    try:
-        config = _apply_overrides(ScenarioConfig.load(config_path), fail, scheme)
-        outdir = _resolve_output_dir(config, output_dir)
-        report = _run_scenario(config)
-    except (ConfigError, ValueError, frr.DecompositionError) as exc:
-        raise click.ClickException(str(exc)) from exc
+    outdir, report = _load_and_sweep(config_path, fail, scheme, output_dir)
     summary = report.summary_dict()
     payload = json.dumps(summary, indent=2, sort_keys=True) + "\n"
     (outdir / "verify.json").write_text(payload, encoding="utf-8")
@@ -330,81 +378,39 @@ def cmd_verify(config_path: str, fail: str | None, scheme: str | None,
 @_outdir_option
 def cmd_timeline(config_path: str, output_dir: str | None):
     """Emit the three-regime throughput timeline CSV for a scenario."""
-    try:
+    with _named("", click.ClickException):
         config = ScenarioConfig.load(config_path)
-        if config.throughput is None:
-            raise ConfigError("timeline requires a 'throughput' config section")
-        outdir = _resolve_output_dir(config, output_dir)
         timeline = build_timeline(config)
-    except (ConfigError, ValueError, frr.DecompositionError) as exc:
-        raise click.ClickException(str(exc)) from exc
+    outdir = _resolve_output_dir(config, output_dir)
     (outdir / "timeline.csv").write_text(timeline.to_csv(), encoding="utf-8")
     click.echo(f"timeline written to {outdir / 'timeline.csv'}")
 
 
 def build_timeline(config: ScenarioConfig) -> analysis.Timeline:
-    """Assemble the timeline plan from a scenario config and simulate it.
+    """Simulate the three-regime timeline of a parsed scenario config.
 
-    The ``throughput`` section is checked before any flow is compiled, so a
-    bad value there is reported before a flow's error.
+    Every value the timeline reads is checked before any flow compiles.
+    Background routes are checked against the failure set here, because a
+    ``run`` or ``verify`` of the same config may override that set.
     """
-    params = config.throughput or {}
-    topology = build_topology(config.topology)
-    flows = _flows_of(config, topology)
-    if config.failures["kind"] != "explicit":
+    topology, failures = config.topology, config.failures
+    if config.timing is None:
+        raise ConfigError("timeline requires a 'throughput' config section")
+    if not isinstance(failures, FailureSet):
         raise ConfigError("timeline requires an explicit failure set")
-    failures = _failure_sets(config, topology, flows)[0]
-
-    background = params.get("background_flows", [])
-    if not isinstance(background, list):
-        raise ConfigError("throughput.background_flows must be a list")
-    background_plans = []
-    for i, bg in enumerate(background):
-        if not isinstance(bg, dict) or not {"source", "destination", "route"} <= bg.keys():
-            raise ConfigError(
-                f"throughput.background_flows[{i}] needs source, destination and route"
-            )
-        flow_id = bg.get("flow_id", f"{bg['source']}->{bg['destination']}")
-        background_plans.append(
-            analysis.background_flow_plan(topology, failures, flow_id, bg["route"])
-        )
-
-    caps_spec = params.get("capacities", "unit")
-    if caps_spec == "unit":
-        capacities = analysis.unit_capacities(topology)
-    elif not isinstance(caps_spec, dict):
-        raise ConfigError('throughput.capacities must be "unit" or an object')
-    else:
-        capacities = {}
-        for key, rate in caps_spec.items():
-            u, _, v = key.partition(",")
-            if not u or not v or "," in v:
-                raise ConfigError(f"throughput.capacities key {key!r} must be 'u,v'")
-            capacities[(u, v)] = _number(rate, f"throughput.capacities[{key!r}]")
-    number = lambda name, default: _number(params.get(name, default), f"throughput.{name}")
-    timing = {
-        "failure_effective": number("failure_effective", 2.0),
-        "control_plane_delay": number("control_plane_delay", 2.0),
-        "shortcut_delay": number("shortcut_delay", 0.2),
-        "sample_step": number("sample_step", 0.1),
-        "horizon": None if params.get("horizon") is None else number("horizon", None),
-    }
-
-    compiler = SchemeCompiler(topology, config.scheme)
+    background = []
+    for i, (flow, route) in enumerate(config.background):
+        with _named(f"throughput.background_flows[{i}]: "):
+            background.append(
+                analysis.background_flow_plan(topology, failures, flow.flow_id, route))
+    compiler = SchemeCompiler(config)
     plans = []
-    for flow in flows:
+    for flow in config.flows:
         state = compiler.compile(flow)
         pre_trace = route_packet(state, topology, FailureSet.none(), flow)
         fp = shortcut_fixpoint(state, topology, failures, flow)
         plans.append(analysis.build_flow_plan(topology, failures, flow, pre_trace, fp))
-    return analysis.convergence_timeline(plans + background_plans, capacities, **timing)
-
-
-def _number(value, name: str) -> Fraction:
-    try:
-        return analysis.as_fraction(value)
-    except ValueError:
-        raise ConfigError(f"{name} must be a number, got {value!r}") from None
+    return analysis.convergence_timeline(plans + background, config.capacities, **config.timing)
 
 
 @main.command("generate")
@@ -413,17 +419,10 @@ def _number(value, name: str) -> Fraction:
 @click.option("--output", "output_path", required=True, type=click.Path(dir_okay=False))
 def cmd_generate(descriptor: str, output_path: str):
     """Emit a topology file from a generator descriptor."""
-    spec = descriptor
-    stripped = descriptor.strip()
-    if stripped.startswith("{"):
-        try:
-            spec = json.loads(stripped)
-        except json.JSONDecodeError as exc:
-            raise click.ClickException(f"invalid descriptor JSON: {exc}") from exc
-    try:
+    with _named("invalid descriptor JSON: ", click.ClickException):
+        spec = json.loads(descriptor) if descriptor.strip().startswith("{") else descriptor
+    with _named("", click.ClickException):
         topology = build_topology(spec)
-    except (ValueError, RuntimeError) as exc:
-        raise click.ClickException(str(exc)) from exc
     Path(output_path).write_text(
         json.dumps(topology.to_dict(), indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )

@@ -109,11 +109,13 @@ class Topology:
 
     @classmethod
     def from_file(cls, path: str) -> "Topology":
-        with open(path, "r", encoding="utf-8") as fh:
-            try:
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
                 data = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"cannot parse topology file {path}: {exc}") from exc
+        except OSError as exc:
+            raise ValueError(f"cannot read topology file {path}: {exc}") from exc
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"cannot parse topology file {path}: {exc}") from exc
         return cls.from_dict(data)
 
     def __eq__(self, other: object) -> bool:
@@ -429,7 +431,7 @@ def _random(n: int, p: float, seed: int, min_edge_connectivity: int = 1,
             continue
         if topo.is_connected() and edge_connectivity(topo) >= min_edge_connectivity:
             return topo
-    raise RuntimeError(
+    raise ValueError(
         f"random generator exhausted {max_tries} seeds without reaching "
         f"edge connectivity {min_edge_connectivity}"
     )
@@ -439,26 +441,27 @@ def build_topology(spec) -> Topology:
     """Build a topology from a generator descriptor (dict or compact string)."""
     d = _parse_descriptor(spec)
     kind = d["kind"]
-    try:
-        if kind == "figure1":
-            return figure1_topology()
-        if kind == "complete":
-            return _complete(int(d["n"]))
-        if kind == "torus":
-            return _torus(int(d["a"]), int(d["b"]))
-        if kind == "hypercube":
-            return _hypercube(int(d["d"]))
-        if kind == "random":
-            if "seed" not in d:
-                raise ValueError("random topology descriptor requires a seed")
-            return _random(
-                int(d["n"]),
-                float(d["p"]),
-                int(d["seed"]),
-                int(d.get("min_edge_connectivity", 1)),
-            )
-        if kind == "from_file":
-            return Topology.from_file(d["path"])
-    except KeyError as exc:
-        raise ValueError(f"topology descriptor {d!r} is missing {exc}") from exc
+
+    def arg(key: str, cast=int):
+        try:
+            return cast(d[key])
+        except KeyError:
+            raise ValueError(f"topology descriptor {d!r} is missing {key!r}") from None
+        except (TypeError, ValueError):
+            what = "an integer" if cast is int else "a number"
+            raise ValueError(f"topology.{key} must be {what}, got {d[key]!r}") from None
+
+    if kind == "figure1":
+        return figure1_topology()
+    if kind == "complete":
+        return _complete(arg("n"))
+    if kind == "torus":
+        return _torus(arg("a"), arg("b"))
+    if kind == "hypercube":
+        return _hypercube(arg("d"))
+    if kind == "random":
+        return _random(arg("n"), arg("p", float), arg("seed"),
+                       arg("min_edge_connectivity") if "min_edge_connectivity" in d else 1)
+    if kind == "from_file":
+        return Topology.from_file(arg("path", str))
     raise ValueError(f"unknown topology kind {kind!r}")

@@ -1,13 +1,18 @@
 from __future__ import annotations
 
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+from frrsim import FailureSet, Flow, build_topology, cli, figure1_topology
+from frrsim.analysis import REGIME_FRR, REGIME_SHORTCUT, REGIMES
 from frrsim.cli import ConfigError, ScenarioConfig, SchemeCompiler, main
-from frrsim.scenarios import figure1_config
+from frrsim.scenarios import FIGURE1_BACKGROUND, figure1_config
+
+UNIT_RATES = {f"{u},{v}": 1 for u, v in figure1_topology().directed_edges()}
 
 
 @pytest.fixture
@@ -29,10 +34,11 @@ def write_config(tmp_path, name: str, config: dict) -> str:
 
 
 class TestConfig:
-    def test_roundtrip_is_identity(self):
+    def test_parsing_twice_gives_equal_configs(self):
         cfg = ScenarioConfig.from_dict(figure1_config())
-        again = ScenarioConfig.from_dict(json.loads(json.dumps(cfg.to_dict())))
-        assert again == cfg
+        assert ScenarioConfig.from_dict(figure1_config()) == cfg
+        assert cfg.flows == (Flow("S", "D"),)
+        assert cfg.failures == FailureSet.of(links=[("S2", "S4")])
 
     def test_parse_error_reports_line(self, tmp_path):
         path = tmp_path / "broken.json"
@@ -165,8 +171,24 @@ class TestRunCommand:
             ("flows", [["S", "D"]], "flows[0] must be a JSON object"),
             ("topology", "figure1", "topology must be a JSON object"),
             ("throughput", 5, "throughput must be a JSON object"),
+            ("throughput", 0, "throughput must be a JSON object"),
+            ("throughput", False, "throughput must be a JSON object"),
+            ("throughput", "", "throughput must be a JSON object"),
+            ("throughput", [], "throughput must be a JSON object"),
+            ("output_dir", 5, "output_dir must be a string"),
+            ("topology", {"kind": "torus", "a": "x", "b": 3},
+             "topology.a must be an integer, got 'x'"),
+            ("flows", [{"source": "S", "destination": "D"}] * 2,
+             "flows[1] repeats flow id 'S->D'"),
+            ("flows", [{"source": "S", "destination": "D", "weight": 2}],
+             "unknown flows[0] fields: ['weight']"),
+            ("flows", [{"source": "S", "destination": "D"}, {"source": "H", "destination": "D"}],
+             "scheme.paths: path ('S', 'S1', 'S2', 'S4', 'D') does not join the flow endpoints"),
         ],
-        ids=["flows-number", "flows-entry-list", "topology-string", "throughput-number"],
+        ids=["flows-number", "flows-entry-list", "topology-string", "throughput-number",
+             "throughput-zero", "throughput-false", "throughput-empty-string",
+             "throughput-empty-list", "output-dir-number", "topology-int-word",
+             "flows-duplicate", "flows-unknown-key", "paths-miss-a-flow"],
     )
     def test_wrong_shape_names_the_field(self, runner, tmp_path, field, value, message):
         cfg = figure1_config()
@@ -187,8 +209,15 @@ class TestRunCommand:
             ({"kind": "explicit", "links": [["S2", "S4"], ["S1", 3]]},
              "failures.links[1] must be a pair of node names"),
             ({"kind": "explicit", "links": [], "nodes": 5}, "failures.nodes must be a list"),
+            ({"kind": "explicit", "nodes": [["S2"]]},
+             "failures.nodes must be a list of node names"),
+            ({"kind": "sweep_links", "links": [["S2", "S4"]]},
+             "unknown failures fields: ['links']"),
+            ({"kind": "explicit", "links": [], "node": ["S2"]},
+             "unknown failures fields: ['node']"),
         ],
-        ids=["links-number", "link-one-node", "link-number-node", "nodes-number"],
+        ids=["links-number", "link-one-node", "link-number-node", "nodes-number",
+             "node-list", "sweep-with-links", "explicit-unknown-key"],
     )
     def test_wrong_failure_shape_names_the_field(self, runner, tmp_path, failures, message):
         cfg = figure1_config()
@@ -215,6 +244,61 @@ class TestRunCommand:
             result = runner.invoke(main, [command, path, "--output-dir", str(tmp_path)])
             assert result.exit_code == 1, result.output
             assert f"Error: {message}" in result.output
+
+    @pytest.mark.parametrize(
+        "scheme,message",
+        [
+            ({"kind": "arborescence", "k": 1.5}, "scheme.k must be a positive integer, got 1.5"),
+            ({"kind": "arborescence", "k": True}, "scheme.k must be a positive integer, got True"),
+            ({"kind": "arborescence", "k": "x"}, "scheme.k must be a positive integer, got 'x'"),
+            ({"kind": "greedy", "k": 2}, "unknown scheme fields: ['k']"),
+            ({"kind": "partition", "k": 2, "pahts": []}, "unknown scheme fields: ['pahts']"),
+        ],
+        ids=["k-float", "k-bool", "k-word", "greedy-with-k", "partition-typo"],
+    )
+    def test_bad_scheme_names_the_field(self, runner, tmp_path, scheme, message):
+        cfg = figure1_config()
+        cfg["scheme"] = scheme
+        path = write_config(tmp_path, "scheme.json", cfg)
+        for command in ("run", "timeline"):
+            result = runner.invoke(main, [command, path, "--output-dir", str(tmp_path)])
+            assert result.exit_code == 1, result.output
+            assert f"Error: {message}" in result.output
+
+    def test_scheme_override_with_bad_k_names_the_field(self, runner, figure1_config_path,
+                                                         tmp_path):
+        result = runner.invoke(main, ["run", figure1_config_path, "--scheme", "arborescence:x",
+                                      "--output-dir", str(tmp_path)])
+        assert result.exit_code == 1, result.output
+        assert "Error: scheme.k must be a positive integer, got 'x'" in result.output
+
+    def test_missing_topology_file_is_named(self, runner, tmp_path):
+        cfg = figure1_config()
+        cfg["topology"] = {"kind": "from_file", "path": str(tmp_path / "missing.json")}
+        path = write_config(tmp_path, "fromfile.json", cfg)
+        result = runner.invoke(main, ["run", path, "--output-dir", str(tmp_path)])
+        assert result.exit_code == 1, result.output
+        assert "Error: cannot read topology file" in result.output
+        assert "missing.json" in result.output
+
+    @pytest.mark.parametrize("fail", ["S1,S2", "S1,H", "node:S1"])
+    def test_fail_override_may_cross_a_background_route(self, runner, figure1_config_path,
+                                                         tmp_path, fail):
+        """Only ``timeline`` reads the background flows, so ``run`` ignores their routes."""
+        result = runner.invoke(main, ["run", figure1_config_path, "--fail", fail,
+                                      "--output-dir", str(tmp_path)])
+        assert result.exit_code == 0, result.output
+
+    def test_throughput_with_a_sweep_runs_but_has_no_timeline(self, runner, tmp_path):
+        cfg = figure1_config()
+        cfg["failures"] = {"kind": "sweep_links"}
+        path = write_config(tmp_path, "sweep.json", cfg)
+        result = runner.invoke(main, ["run", path, "--output-dir", str(tmp_path)])
+        assert result.exit_code == 0, result.output
+        result = runner.invoke(main, ["timeline", path, "--output-dir", str(tmp_path / "t")])
+        assert result.exit_code == 1, result.output
+        assert "Error: timeline requires an explicit failure set" in result.output
+        assert not (tmp_path / "t").exists()
 
 
 class TestVerifyCommand:
@@ -322,8 +406,18 @@ class TestTimelineCommand:
             ("capacities", {"S,S1": "fast"},
              "throughput.capacities['S,S1'] must be a number, got 'fast'"),
             ("horizon", "x", "throughput.horizon must be a number, got 'x'"),
+            ("horizn", 9, "unknown throughput fields: ['horizn']"),
+            ("background_flows", [FIGURE1_BACKGROUND, FIGURE1_BACKGROUND],
+             "throughput.background_flows[1] repeats flow id 'S2->H'"),
+            ("background_flows", [{**FIGURE1_BACKGROUND, "rate": 1}],
+             "unknown throughput.background_flows[0] fields: ['rate']"),
+            ("background_flows", [{**FIGURE1_BACKGROUND, "route": ["S2", "S1"]}],
+             "throughput.background_flows[0].route must be a list of nodes from source to "
+             "destination"),
         ],
-        ids=["capacity-key-without-comma", "capacity-rate-word", "horizon-word"],
+        ids=["capacity-key-without-comma", "capacity-rate-word", "horizon-word",
+             "unknown-key", "background-repeated",
+             "background-unknown-key", "background-route-misses-destination"],
     )
     def test_bad_throughput_value_names_the_field(self, runner, tmp_path, field, value, message):
         cfg = figure1_config()
@@ -338,13 +432,76 @@ class TestTimelineCommand:
     ):
         compiled = []
         monkeypatch.setattr(SchemeCompiler, "compile", lambda self, flow: compiled.append(flow))
+        for field, value, message in [
+            ("horizon", "soon", "throughput.horizon must be a number, got 'soon'"),
+            ("horizon", 1.0, "throughput.horizon must extend past the failure instant"),
+            ("sample_step", 0, "throughput.sample_step must be positive"),
+            ("control_plane_delay", -1, "throughput.control_plane_delay must be non-negative"),
+            ("capacities", {"S,S1": 1}, "throughput.capacities has no rate for 'D,S4'"),
+            ("capacities", {**UNIT_RATES, "S,D": 1},
+             "throughput.capacities key 'S,D' must be 'u,v' for a link u-v"),
+            ("capacities", {**UNIT_RATES, "S,S1": 0},
+             "throughput.capacities['S,S1'] must be positive, got 0"),
+            ("background_flows", [{**FIGURE1_BACKGROUND, "route": ["S2", "S4", "H"]}],
+             "throughput.background_flows[0]: background route step (S4, H) is not a link"),
+            ("background_flows", [{**FIGURE1_BACKGROUND, "route": ["S2", "S4", "S3", "S1", "H"]}],
+             "throughput.background_flows[0]: background flow 'S2->H' route crosses the failure"),
+        ]:
+            cfg = figure1_config()
+            cfg["throughput"][field] = value
+            path = write_config(tmp_path, "badthroughput.json", cfg)
+            result = runner.invoke(main, ["timeline", path, "--output-dir", str(tmp_path)])
+            assert result.exit_code == 1, result.output
+            assert f"Error: {message}" in result.output
+            assert compiled == []
+
+    def test_background_flow_with_a_primary_id_replaces_it_however_spelt(self):
+        route = ["S", "S1", "S3", "S4", "D"]
+        csvs = []
+        for flow_id in ({}, {"flow_id": "S->D"}):
+            cfg = figure1_config()
+            cfg["throughput"]["background_flows"] = [
+                {"source": "S", "destination": "D", "route": route, **flow_id}]
+            csvs.append(cli.build_timeline(ScenarioConfig.from_dict(cfg)).to_csv())
+        assert csvs[0] == csvs[1]
+        assert ",S->D,1.0,frr_only" in csvs[0]  # the fixed route never loses its link
+
+    def test_empty_throughput_means_defaults(self, runner, tmp_path):
         cfg = figure1_config()
-        cfg["throughput"]["horizon"] = "soon"
-        path = write_config(tmp_path, "badhorizon.json", cfg)
-        result = runner.invoke(main, ["timeline", path, "--output-dir", str(tmp_path)])
-        assert result.exit_code == 1, result.output
-        assert "Error: throughput.horizon must be a number, got 'soon'" in result.output
-        assert compiled == []
+        cfg["throughput"] = {}
+        path = write_config(tmp_path, "defaults.json", cfg)
+        outdir = tmp_path / "out"
+        result = runner.invoke(main, ["timeline", path, "--output-dir", str(outdir)])
+        assert result.exit_code == 0, result.output
+        rows = (outdir / "timeline.csv").read_text().splitlines()
+        # failure at 2, convergence at 4, horizon 6, one flow, sampled every 0.1
+        assert len(rows) == 1 + 3 * 60
+        assert "3.0,S->D,1.0,frr_only" in rows  # no background flow to share with
+
+    @pytest.mark.parametrize("config", ["figure1", "cli-schemes"])
+    def test_benchmark_entry_points(self, config):
+        """``perfbench`` rebuilds the timeline through these calls and reads these fields."""
+        if config == "figure1":
+            cfg = figure1_config()
+        else:
+            nodes = build_topology({"kind": "torus", "a": 3, "b": 3}).nodes
+            cfg = {
+                "topology": {"kind": "torus", "a": 3, "b": 3},
+                "scheme": {"kind": "partition", "k": 2},
+                "failures": {"kind": "explicit", "links": [["0_0", "0_1"]], "nodes": []},
+                "flows": [{"source": a, "destination": b} for a in nodes for b in nodes if a != b],
+                "throughput": {"capacities": "unit"},
+            }
+        timeline = cli.build_timeline(cli.ScenarioConfig.from_dict(cfg))
+        ids = {f"{f['source']}->{f['destination']}" for f in cfg["flows"]}
+        assert set(timeline.segments) == set(REGIMES)
+        for segments in timeline.segments.values():
+            for seg in segments:
+                assert ids <= set(seg.rates) == set(seg.routes)
+                assert all(isinstance(rate, Fraction) for rate in seg.rates.values())
+        plateau = timeline.segments[REGIME_FRR][1]
+        steady = next(s for s in timeline.segments[REGIME_SHORTCUT] if s.end == plateau.end)
+        assert sum(steady.rates.values()) >= sum(plateau.rates.values())
 
 
 class TestGenerateCommand:
@@ -363,6 +520,13 @@ class TestGenerateCommand:
         )
         result = runner.invoke(main, ["generate", "--topology", descriptor, "--output", str(out)])
         assert result.exit_code == 0, result.output
+
+    def test_missing_from_file_is_a_clean_error(self, runner, tmp_path):
+        descriptor = json.dumps({"kind": "from_file", "path": str(tmp_path / "missing.json")})
+        out = tmp_path / "topo.json"
+        result = runner.invoke(main, ["generate", "--topology", descriptor, "--output", str(out)])
+        assert result.exit_code == 1, result.output
+        assert "Error: cannot read topology file" in result.output
 
     def test_generated_file_feeds_from_file(self, runner, tmp_path):
         out = tmp_path / "topo.json"
