@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import bisect
 import csv
+import functools
 import heapq
 import io
 import itertools
@@ -76,6 +77,10 @@ def enumerate_node_failures(topology: Topology, exclude: Iterable[str] = ()) -> 
     return [FailureSet.of(nodes=[n]) for n in topology.nodes if n not in skip]
 
 
+ROW_FIELDS = ("flow", "failure", "verdict", "hops_before", "hops_after",
+              "stretch_before", "stretch_after", "rounds")
+
+
 @dataclass
 class CaseResult:
     """Outcome of one (flow, failure) fixpoint run."""
@@ -99,6 +104,7 @@ class CaseResult:
     fixpoint: FixpointResult | None = field(default=None, repr=False, compare=False)
 
     def to_row(self) -> dict:
+        """The ``ROW_FIELDS`` of report.csv, in that order."""
         fmt = lambda x: "" if x is None else (f"{x:.6g}" if isinstance(x, float) else x)
         return {
             "flow": self.flow_id,
@@ -130,6 +136,14 @@ class SweepReport:
     @property
     def total_violations(self) -> int:
         return sum(self.violations_by_kind.values())
+
+    @functools.cached_property
+    def rows(self) -> list[tuple[CaseResult, dict]]:
+        """Each case with its ``to_row()``, in (flow, failure) order, which is
+        the order of every run artefact. Computed once, on first use, so the
+        cases must not change after that."""
+        cases = sorted(self.cases, key=lambda c: (c.flow_id, c.failure))
+        return [(case, case.to_row()) for case in cases]
 
     def summary_dict(self) -> dict:
         return {
@@ -307,35 +321,64 @@ def run_failure_sweep(
     return SweepReport(cases=cases, violations_by_kind=violations)
 
 
+# Run artefacts print as json.dumps(..., indent=2, sort_keys=True) would, but
+# with ``indent`` set CPython drops to its pure-Python encoder. Here the C
+# encoder prints flat records of scalars with ",\n" and the padding of their
+# fields as item separator, which is the indent=2 text of those fields; the
+# brackets, their line breaks and nested values are spliced in around them.
+# Encoded strings never hold a raw newline, so the separator only ever falls
+# between fields.
+
+@functools.cache
+def _encoder(depth: int) -> json.JSONEncoder:
+    """Flat containers whose brackets sit ``depth`` levels deep."""
+    return json.JSONEncoder(sort_keys=True, separators=(",\n" + "  " * (depth + 1), ": "))
+
+
+def json_items(items: Sequence[str], depth: int, brackets: str = "[]") -> str:
+    """Already encoded list items (or object fields, with ``brackets`` "{}"),
+    each printed ``depth + 1`` deep, in brackets that sit ``depth`` deep."""
+    body = _encoder(depth).item_separator.join(items)
+    if not body:  # [] and {} print alike at every depth
+        return brackets
+    pad = "\n" + "  " * depth
+    return f"{brackets[0]}{pad}  {body}{pad}{brackets[1]}"
+
+
+def json_fields(records: Sequence, depth: int) -> list[str]:
+    """The fields of each flat record (keys sorted) or the items of each flat
+    list, printed ``depth + 1`` deep and joined by that depth's separator."""
+    if not records:
+        return []
+    encoder = _encoder(depth)
+    # Within a record the separator is followed by a key or a scalar, so a
+    # closing bracket, the separator and an opening bracket mark a boundary.
+    text = encoder.encode(records)[2:-2]
+    close, open_ = ("}", "{") if isinstance(records[0], dict) else ("]", "[")
+    return text.split(close + encoder.item_separator + open_)
+
+
 def report_csv(report: SweepReport) -> str:
     """CSV rows: flow, failure, verdict, hops and stretch before/after, rounds."""
     buf = io.StringIO()
-    fields = [
-        "flow",
-        "failure",
-        "verdict",
-        "hops_before",
-        "hops_after",
-        "stretch_before",
-        "stretch_after",
-        "rounds",
-    ]
-    writer = csv.DictWriter(buf, fieldnames=fields, lineterminator="\n")
-    writer.writeheader()
-    for case in sorted(report.cases, key=lambda c: (c.flow_id, c.failure)):
-        writer.writerow(case.to_row())
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(ROW_FIELDS)
+    writer.writerows(row.values() for _, row in report.rows)
     return buf.getvalue()
 
 
 def report_json(report: SweepReport) -> str:
-    payload = {
-        "summary": report.summary_dict(),
-        "cases": [
-            {**case.to_row(), "violations": case.violations, "error": case.error}
-            for case in sorted(report.cases, key=lambda c: (c.flow_id, c.failure))
-        ],
-    }
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    """``{"cases": [row + error + violations, ...], "summary": summary_dict()}``."""
+    fields = json_fields([{**row, "error": case.error} for case, row in report.rows], 2)
+    violations = json_fields([case.violations for case, _ in report.rows], 3)
+    cases = [  # "violations" sorts after every other field
+        json_items([f, f'"violations": {json_items([v], 3)}'], 2, "{}")
+        for f, v in zip(fields, violations)
+    ]
+    summary = report.summary_dict()
+    by_kind = json_items(json_fields([summary.pop("violations_by_kind")], 2), 2, "{}")
+    summary = json_items([*json_fields([summary], 1), f'"violations_by_kind": {by_kind}'], 1, "{}")
+    return json_items([f'"cases": {json_items(cases, 1)}', f'"summary": {summary}'], 0, "{}") + "\n"
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ from pathlib import Path
 import click
 
 from . import analysis, frr
-from .forwarding import ForwardingState
+from .forwarding import ForwardingState, Trace
 from .forwarding import route as route_packet
 from .shortcut import shortcut_fixpoint
 from .topology import FailureSet, Flow, Topology, build_topology, edge_connectivity
@@ -265,7 +265,11 @@ class SchemeCompiler:
 def _resolve_output_dir(config: ScenarioConfig, flag_value: str | None) -> Path:
     out = flag_value or os.environ.get(ENV_OUTPUT_DIR) or config.output_dir or "out"
     path = Path(out)
-    path.mkdir(parents=True, exist_ok=True)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise click.ClickException(
+            f"cannot create output directory {out}: {exc.strerror or exc}") from None
     return path
 
 
@@ -289,36 +293,51 @@ def _load_and_sweep(config_path: str, fail: str | None, scheme: str | None,
         )
 
 
+_AUDIT = json.JSONEncoder(sort_keys=True)
+
+
+def _trace_json(trace: Trace) -> str:
+    """One trace as traces.json prints it, three levels deep."""
+    doc = trace.to_json_dict()
+    hops = [analysis.json_items([h], 5) for h in analysis.json_fields(doc.pop("hops"), 5)]
+    # "hops" sorts between the scalar fields, so it goes between two halves
+    head, tail = analysis.json_fields([{k: v for k, v in doc.items() if k < "hops"},
+                                       {k: v for k, v in doc.items() if k > "hops"}], 3)
+    return analysis.json_items([head, f'"hops": {analysis.json_items(hops, 4)}', tail], 3, "{}")
+
+
 def _write_run_outputs(outdir: Path, report: analysis.SweepReport) -> None:
-    trace_docs = []
+    """Write traces.json, audit.jsonl, report.csv and report.json.
+
+    Cases reuse one ``FixpointResult`` wherever the failure misses the
+    failure-free walk, so each distinct fixpoint's traces are serialised
+    once and spliced into the record of every case that holds it.
+    """
+    cases = [case for case, _ in report.rows]
+    traces: dict[int, str] = {}  # id(fixpoint) -> its traces list, two levels deep
+    heads = analysis.json_fields(
+        [{"failure": c.failure, "flow": c.flow_id, "rounds": c.rounds} for c in cases], 1)
+    verdicts = analysis.json_fields([{"verdict": c.verdict} for c in cases], 1)
+    docs = []
     audit_lines = []
-    for case in sorted(report.cases, key=lambda c: (c.flow_id, c.failure)):
+    for case, head, verdict in zip(cases, heads, verdicts):
         fp = case.fixpoint
-        doc = {
-            "flow": case.flow_id,
-            "failure": case.failure,
-            "verdict": case.verdict,
-            "rounds": case.rounds,
-            "traces": [t.to_json_dict() for t in fp.traces] if fp else [],
-        }
-        trace_docs.append(doc)
+        if fp is None:
+            fragment = "[]"
+        elif (fragment := traces.get(id(fp))) is None:
+            fragment = traces[id(fp)] = analysis.json_items(
+                [_trace_json(t) for t in fp.traces], 2)
+        docs.append(analysis.json_items([head, f'"traces": {fragment}', verdict], 1, "{}"))
         if fp:
             for round_no, changes in enumerate(fp.changes_per_round, start=1):
                 for change in changes:
-                    audit_lines.append(
-                        json.dumps(
-                            {
-                                "flow": case.flow_id,
-                                "failure": case.failure,
-                                "round": round_no,
-                                **change.to_json_dict(),
-                            },
-                            sort_keys=True,
-                        )
-                    )
-    (outdir / "traces.json").write_text(
-        json.dumps(trace_docs, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+                    audit_lines.append(_AUDIT.encode({
+                        "flow": case.flow_id,
+                        "failure": case.failure,
+                        "round": round_no,
+                        **change.to_json_dict(),
+                    }))
+    (outdir / "traces.json").write_text(analysis.json_items(docs, 0) + "\n", encoding="utf-8")
     (outdir / "audit.jsonl").write_text(
         "".join(line + "\n" for line in audit_lines), encoding="utf-8"
     )

@@ -443,13 +443,18 @@ def build_topology(spec) -> Topology:
     kind = d["kind"]
 
     def arg(key: str, cast=int):
+        if key not in d:
+            raise ValueError(f"topology descriptor {d!r} is missing {key!r}")
+        value = d[key]
         try:
-            return cast(d[key])
-        except KeyError:
-            raise ValueError(f"topology descriptor {d!r} is missing {key!r}") from None
+            # int() would truncate a fraction and read a boolean as 0 or 1
+            if cast is int and (isinstance(value, bool) or (
+                    isinstance(value, float) and not value.is_integer())):
+                raise ValueError
+            return cast(value)
         except (TypeError, ValueError):
             what = "an integer" if cast is int else "a number"
-            raise ValueError(f"topology.{key} must be {what}, got {d[key]!r}") from None
+            raise ValueError(f"topology.{key} must be {what}, got {value!r}") from None
 
     if kind == "figure1":
         return figure1_topology()

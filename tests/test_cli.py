@@ -157,6 +157,26 @@ class TestRunCommand:
         assert result.exit_code == 0, result.output
         assert (outdir / "report.csv").exists()
 
+    @pytest.mark.parametrize("command", ["run", "verify", "timeline"])
+    @pytest.mark.parametrize("where", ["flag", "env", "config"])
+    def test_output_dir_that_is_a_file_is_a_clean_error(self, runner, tmp_path, monkeypatch,
+                                                        command, where):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        out = str(taken / "sub") if where == "config" else str(taken)
+        cfg = figure1_config()
+        if where == "config":
+            cfg["output_dir"] = out
+        args = [command, write_config(tmp_path, "cfg.json", cfg)]
+        if where == "flag":
+            args += ["--output-dir", out]
+        if where == "env":
+            monkeypatch.setenv("FRRSIM_OUTPUT_DIR", out)
+        result = runner.invoke(main, args)
+        assert result.exit_code == 1, result.output
+        assert f"Error: cannot create output directory {out}: " in result.output
+        assert taken.read_text() == ""
+
     def test_bad_config_is_a_clean_error(self, runner, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{")
@@ -178,6 +198,10 @@ class TestRunCommand:
             ("output_dir", 5, "output_dir must be a string"),
             ("topology", {"kind": "torus", "a": "x", "b": 3},
              "topology.a must be an integer, got 'x'"),
+            ("topology", {"kind": "torus", "a": 3.7, "b": 3},
+             "topology.a must be an integer, got 3.7"),
+            ("topology", {"kind": "hypercube", "d": True},
+             "topology.d must be an integer, got True"),
             ("flows", [{"source": "S", "destination": "D"}] * 2,
              "flows[1] repeats flow id 'S->D'"),
             ("flows", [{"source": "S", "destination": "D", "weight": 2}],
@@ -188,6 +212,7 @@ class TestRunCommand:
         ids=["flows-number", "flows-entry-list", "topology-string", "throughput-number",
              "throughput-zero", "throughput-false", "throughput-empty-string",
              "throughput-empty-list", "output-dir-number", "topology-int-word",
+             "topology-fraction", "topology-bool",
              "flows-duplicate", "flows-unknown-key", "paths-miss-a-flow"],
     )
     def test_wrong_shape_names_the_field(self, runner, tmp_path, field, value, message):

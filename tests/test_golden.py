@@ -5,7 +5,8 @@ change with a deliberate behaviour change. Such a change updates the digests
 below and records why in CHANGES.md. Scenarios: both bundled configs
 (``run``, ``verify`` and, for figure1, ``timeline``), plus all-pairs link
 sweeps that exercise greedy pins (hypercube(3)) and cross-partition
-truncation (k=2 on torus(3,3)), and an all-pairs timeline on torus(4,4)
+truncation (k=2 on torus(3,3)), a node sweep (arborescence k=4 on
+torus(4,4), which skips the rounds check), and an all-pairs timeline on torus(4,4)
 with mixed link rates, a background flow and a ragged horizon.
 """
 
@@ -26,13 +27,15 @@ SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 RUN_FILES = ("traces.json", "audit.jsonl", "report.csv", "report.json")
 
 
-def _all_pairs_sweep(topology: dict, scheme: dict) -> dict:
-    nodes = build_topology(topology).nodes
+def _all_pairs_sweep(topology: dict, scheme: dict, failures: str = "sweep_links",
+                     nodes: tuple[str, ...] | None = None) -> dict:
+    """Every ordered pair of ``nodes`` (default: all) under one sweep kind."""
+    nodes = nodes or build_topology(topology).nodes
     return {
         "topology": topology,
         "flows": [{"source": a, "destination": b} for a in nodes for b in nodes if a != b],
         "scheme": scheme,
-        "failures": {"kind": "sweep_links"},
+        "failures": {"kind": failures},
     }
 
 
@@ -62,6 +65,12 @@ GENERATED = {
         {"kind": "torus", "a": 3, "b": 3}, {"kind": "partition", "k": 2}
     ),
     "timeline_torus44": _timeline_torus44(),
+    # A node sweep skips every flow endpoint, so the pairs span four nodes,
+    # leaving twelve to fail.
+    "arborescence4_torus44_nodes": _all_pairs_sweep(
+        {"kind": "torus", "a": 4, "b": 4}, {"kind": "arborescence", "k": 4}, "sweep_nodes",
+        ("0_0", "1_2", "2_1", "3_3"),
+    ),
 }
 
 # (scenario, command) -> (exit code, files whose digests are pinned)
@@ -71,12 +80,19 @@ RUNS = {
     ("figure1", "timeline"): (0, ("timeline.csv",)),
     ("torus_sweep", "run"): (0, RUN_FILES),
     ("torus_sweep", "verify"): (0, ("verify.json",)),
-    ("greedy_hypercube3", "run"): (0, ("report.json", "audit.jsonl")),
-    ("partition2_torus33", "run"): (0, ("report.json", "audit.jsonl")),
+    ("greedy_hypercube3", "run"): (0, RUN_FILES),
+    ("partition2_torus33", "run"): (0, RUN_FILES),
+    ("arborescence4_torus44_nodes", "run"): (0, RUN_FILES),
     ("timeline_torus44", "timeline"): (0, ("timeline.csv",)),
 }
 
 GOLDEN = {
+    ("arborescence4_torus44_nodes", "run"): {
+        "traces.json": "100ec97d941f14c17ff370069680b713a6f4b0294ebfb21a20d04f8e048fff6b",
+        "audit.jsonl": "2bb3afab0c97ac2e0c700284851b216f9e5b767b4eff68e12dfec199bc2d63de",
+        "report.csv": "ecd16f9c65cbbeb01ccbf4abad9a0496e48145fe7d771a110653815021fb3344",
+        "report.json": "c4d72b26e7f4464997842e23126b241ad8d88d140d276948d359cceca300958a",
+    },
     ("figure1", "run"): {
         "traces.json": "30058912188b820c77c4db46b58bcb0c0780c0368bf7aeef67aaf71974a1fddd",
         "audit.jsonl": "7cca3c3ea30731dd766628217ba4b7df1bf418bab378d61f62626e8964f2e09a",
@@ -90,10 +106,14 @@ GOLDEN = {
         "verify.json": "1bd575d9bf34f8f1099f048673af3a067479b1bc2a80bf7683393dd485cc6c7a",
     },
     ("greedy_hypercube3", "run"): {
+        "traces.json": "cf0f3fcd132976eb3fe35025ab5a2c802dd3845c7d24a042822e03933dd5d2fa",
+        "report.csv": "a84f83a4eac9a6c67c70ec191d66507caa42e37f32afc8d404cf2021a6447870",
         "report.json": "bd7a8019db12a7affd3b819e41913b2dbb65c22f7a3cfdf54c2fecb049cbf8e3",
         "audit.jsonl": "af5e81ad2248742d1b60b1b2560f306a8375c1e0eabfb4d89a4e784ffc308f00",
     },
     ("partition2_torus33", "run"): {
+        "traces.json": "f7e630b2cbfbc2814bffaebce7dc54feeff8b26f83640e054114cf98fd282cea",
+        "report.csv": "8bf69723894afdd68986518ab3e06a44286566040b72e86dd66b15844704d81c",
         "report.json": "5ec5f01c3b7360c29ddfba4f7eb8316d8dc60d3efe51993530709fae508e4718",
         "audit.jsonl": "057396c5bfe0255e7073c2e6153e78775e47a761964ab7c7755163987c0ac7c0",
     },

@@ -82,6 +82,28 @@ class TestGenerators:
         with pytest.raises(ValueError):
             build_topology(bad)
 
+    SIZES = [
+        {"kind": "complete", "n": 4},
+        {"kind": "torus", "a": 3, "b": 3},
+        {"kind": "hypercube", "d": 3},
+        {"kind": "random", "n": 8, "p": 0.5, "seed": 3, "min_edge_connectivity": 2},
+    ]
+    INTEGER_FIELDS = [(i, key) for i, desc in enumerate(SIZES)
+                      for key, value in desc.items() if isinstance(value, int)]
+
+    @pytest.mark.parametrize("index,key", INTEGER_FIELDS)
+    @pytest.mark.parametrize("shape", [3.7, True, float("inf")], ids=["fraction", "bool", "inf"])
+    def test_non_integral_size_is_rejected(self, index, key, shape):
+        desc = {**self.SIZES[index], key: shape}
+        with pytest.raises(ValueError, match=rf"^topology\.{key} must be an integer, got {shape!r}$"):
+            build_topology(desc)
+
+    @pytest.mark.parametrize("index,key", INTEGER_FIELDS)
+    @pytest.mark.parametrize("shape", [float, str], ids=["integral-float", "integer-string"])
+    def test_integral_size_in_another_type_is_accepted(self, index, key, shape):
+        desc = self.SIZES[index]
+        assert build_topology({**desc, key: shape(desc[key])}) == build_topology(desc)
+
     def test_from_file_roundtrip(self, tmp_path, figure1):
         path = tmp_path / "topo.json"
         path.write_text(json.dumps(figure1.to_dict()))

@@ -1,0 +1,236 @@
+"""The run artefact writer against the indented ``json.dumps`` writer it replaced.
+
+``reference_write`` is that writer, kept verbatim as the oracle: every
+``traces.json``, ``audit.jsonl``, ``report.csv`` and ``report.json`` the CLI
+writes must equal its bytes, for generated reports and with or without the C
+accelerator of the ``json`` module.
+"""
+
+from __future__ import annotations
+
+import csv
+import io
+import json
+import json.encoder
+import tempfile
+from pathlib import Path
+
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
+
+from frrsim import CaseResult, FixpointResult, Hop, Outcome, RuleChange, SweepReport, Trace, cli
+
+from test_golden import GENERATED
+
+RUN_FILES = ("traces.json", "audit.jsonl", "report.csv", "report.json")
+
+
+# ---------------------------------------------------------------------------
+# The reference writer
+# ---------------------------------------------------------------------------
+
+def reference_report_csv(report: SweepReport) -> str:
+    """CSV rows: flow, failure, verdict, hops and stretch before/after, rounds."""
+    buf = io.StringIO()
+    fields = [
+        "flow",
+        "failure",
+        "verdict",
+        "hops_before",
+        "hops_after",
+        "stretch_before",
+        "stretch_after",
+        "rounds",
+    ]
+    writer = csv.DictWriter(buf, fieldnames=fields, lineterminator="\n")
+    writer.writeheader()
+    for case in sorted(report.cases, key=lambda c: (c.flow_id, c.failure)):
+        writer.writerow(case.to_row())
+    return buf.getvalue()
+
+
+def reference_report_json(report: SweepReport) -> str:
+    payload = {
+        "summary": report.summary_dict(),
+        "cases": [
+            {**case.to_row(), "violations": case.violations, "error": case.error}
+            for case in sorted(report.cases, key=lambda c: (c.flow_id, c.failure))
+        ],
+    }
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def reference_write(outdir: Path, report: SweepReport) -> None:
+    trace_docs = []
+    audit_lines = []
+    for case in sorted(report.cases, key=lambda c: (c.flow_id, c.failure)):
+        fp = case.fixpoint
+        doc = {
+            "flow": case.flow_id,
+            "failure": case.failure,
+            "verdict": case.verdict,
+            "rounds": case.rounds,
+            "traces": [t.to_json_dict() for t in fp.traces] if fp else [],
+        }
+        trace_docs.append(doc)
+        if fp:
+            for round_no, changes in enumerate(fp.changes_per_round, start=1):
+                for change in changes:
+                    audit_lines.append(
+                        json.dumps(
+                            {
+                                "flow": case.flow_id,
+                                "failure": case.failure,
+                                "round": round_no,
+                                **change.to_json_dict(),
+                            },
+                            sort_keys=True,
+                        )
+                    )
+    (outdir / "traces.json").write_text(
+        json.dumps(trace_docs, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+    )
+    (outdir / "audit.jsonl").write_text(
+        "".join(line + "\n" for line in audit_lines), encoding="utf-8"
+    )
+    (outdir / "report.csv").write_text(reference_report_csv(report), encoding="utf-8")
+    (outdir / "report.json").write_text(reference_report_json(report), encoding="utf-8")
+
+
+def assert_same_artefacts(report: SweepReport) -> None:
+    with tempfile.TemporaryDirectory() as tmp:
+        ref, new = Path(tmp, "reference"), Path(tmp, "new")
+        ref.mkdir()
+        new.mkdir()
+        reference_write(ref, report)
+        cli._write_run_outputs(new, report)
+        for name in RUN_FILES:
+            assert (new / name).read_bytes() == (ref / name).read_bytes(), name
+
+
+# ---------------------------------------------------------------------------
+# Generated reports
+# ---------------------------------------------------------------------------
+
+# Quotes, a backslash, a newline, a tab, a control character, non-ASCII and a
+# character outside the basic plane all need escaping in JSON; commas and
+# quotes need quoting in CSV.
+AWKWARD = 'q"u\\o\nt\te\x01 é中\U0001f600,'
+names = st.text(alphabet=st.sampled_from(list(AWKWARD) + list("abS-1")), min_size=1,
+                max_size=6)
+maybe_name = st.none() | names
+small = st.integers(min_value=0, max_value=40)
+
+hops = st.builds(Hop, node=names, inport=maybe_name, outport=names)
+traces = st.builds(
+    Trace, flow_id=names, hops=st.lists(hops, max_size=4).map(tuple),
+    outcome=st.sampled_from(list(Outcome)), final_node=names, loop_inport=maybe_name,
+)
+changes = st.builds(
+    RuleChange, node=names, inport=maybe_name, kind=st.sampled_from(["truncate", "pin"]),
+    old_start=st.none() | small, new_start=st.none() | small, outport=maybe_name,
+)
+fixpoints = st.builds(
+    FixpointResult, traces=st.lists(traces, min_size=1, max_size=3), rounds=small,
+    changes_per_round=st.lists(st.lists(changes, max_size=2), max_size=2),
+)
+VIOLATIONS = ["not_delivered", "not_simple", "not_subpath", "load_increase",
+              "load_not_reduced", "rounds_mismatch", "exception"]
+stretches = st.none() | st.floats(min_value=0.0, max_value=50.0)
+case_fields = st.fixed_dictionaries({
+    "flow_id": names,
+    "failure": names,
+    "verdict": st.sampled_from(["delivered", "frr_failed", "shortcut_failed", "exception"]),
+    "hops_before": st.none() | small,
+    "hops_after": st.none() | small,
+    "stretch_before": stretches,
+    "stretch_after": stretches,
+    "rounds": small,
+    "violations": st.lists(st.sampled_from(VIOLATIONS), max_size=3),
+    "error": maybe_name,
+})
+
+
+def make_report(cases: list[CaseResult]) -> SweepReport:
+    by_kind: dict[str, int] = {}
+    for case in cases:
+        for kind in case.violations:
+            by_kind[kind] = by_kind.get(kind, 0) + 1
+    return SweepReport(cases=cases, violations_by_kind=by_kind)
+
+
+@st.composite
+def reports(draw) -> SweepReport:
+    """Cases holding no fixpoint, one of a few shared ones, or their own."""
+    shared = draw(st.lists(fixpoints, min_size=1, max_size=3))
+    cases = []
+    for fields in draw(st.lists(case_fields, max_size=12)):
+        choice = draw(st.integers(min_value=-1, max_value=len(shared)))
+        fixpoint = None if choice < 0 else (
+            draw(fixpoints) if choice == len(shared) else shared[choice])
+        cases.append(CaseResult(**fields, fixpoint=fixpoint))
+    return make_report(cases)
+
+
+def covering_report() -> SweepReport:
+    """Every shape the writer special-cases, in one report."""
+    shared = FixpointResult(
+        traces=[Trace(AWKWARD, (Hop("S", None, "A"), Hop("A", "S", AWKWARD)),
+                      Outcome.DELIVERED, AWKWARD)],
+        rounds=0,
+    )
+    looped = FixpointResult(
+        traces=[
+            Trace("S->D", (Hop("S", None, "A"), Hop("A", "S", "S"), Hop("S", "A", "A")),
+                  Outcome.LOOP, "A", loop_inport="S"),
+            Trace("S->D", (), Outcome.DROPPED, "S"),
+        ],
+        rounds=1,
+        changes_per_round=[[RuleChange("S", "A", old_start=0, new_start=1)],
+                           [RuleChange(AWKWARD, None, kind="pin", outport="A")]],
+    )
+    return make_report([
+        CaseResult("S->D", "link:A-B", "delivered", 2, 2, 1.0, 1.0, 0, fixpoint=shared),
+        CaseResult("S->D", "link:A-C", "delivered", 2, 2, 1.0, 1.0, 0, fixpoint=shared),
+        CaseResult("S->D", "link:S-A", "shortcut_failed", 3, 0, 1.5, None, 1,
+                   violations=["not_delivered"], fixpoint=looped),
+        CaseResult("S->D", "node:B", "frr_failed", 3, fixpoint=looped),
+        CaseResult("S->D", "node:C", "delivered", 3, 2, 1.5, 1.0, 1,
+                   violations=["not_simple", "rounds_mismatch"], fixpoint=shared),
+        CaseResult(AWKWARD, AWKWARD, "exception", violations=["exception"],
+                   error=f"ValueError: {AWKWARD}"),
+    ])
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(reports())
+@example(make_report([]))
+@example(covering_report())
+def test_artefacts_equal_the_reference_writer(report):
+    assert_same_artefacts(report)
+
+
+def test_artefacts_do_not_depend_on_the_c_accelerator(monkeypatch):
+    monkeypatch.setattr(json.encoder, "c_make_encoder", None)
+    monkeypatch.setattr(json.encoder, "encode_basestring_ascii",
+                        json.encoder.py_encode_basestring_ascii)
+    assert_same_artefacts(covering_report())
+
+
+def test_each_distinct_fixpoint_is_serialised_once(tmp_path, monkeypatch):
+    """A greedy hypercube(3) link sweep: one ``to_json_dict`` per trace of each
+    distinct ``FixpointResult`` (184), not one per trace of each case (704)."""
+    config = tmp_path / "greedy.json"
+    config.write_text(json.dumps(GENERATED["greedy_hypercube3"]))
+    outdir, report = cli._load_and_sweep(str(config), None, None, str(tmp_path / "out"))
+    distinct = {id(c.fixpoint): c.fixpoint for c in report.cases if c.fixpoint}
+    per_distinct = sum(len(fp.traces) for fp in distinct.values())
+    per_case = sum(len(c.fixpoint.traces) for c in report.cases if c.fixpoint)
+    assert per_case > 3 * per_distinct
+
+    calls = []
+    to_json_dict = Trace.to_json_dict
+    monkeypatch.setattr(Trace, "to_json_dict", lambda self: calls.append(self) or to_json_dict(self))
+    cli._write_run_outputs(outdir, report)
+    assert len(calls) == per_distinct
