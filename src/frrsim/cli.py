@@ -399,8 +399,9 @@ def cmd_timeline(config_path: str, output_dir: str | None):
     """Emit the three-regime throughput timeline CSV for a scenario."""
     with _named("", click.ClickException):
         config = ScenarioConfig.load(config_path)
+        _background_plans(config)  # a config the timeline cannot run makes no directory
+        outdir = _resolve_output_dir(config, output_dir)
         timeline = build_timeline(config)
-    outdir = _resolve_output_dir(config, output_dir)
     (outdir / "timeline.csv").write_text(timeline.to_csv(), encoding="utf-8")
     click.echo(f"timeline written to {outdir / 'timeline.csv'}")
 
@@ -413,15 +414,7 @@ def build_timeline(config: ScenarioConfig) -> analysis.Timeline:
     ``run`` or ``verify`` of the same config may override that set.
     """
     topology, failures = config.topology, config.failures
-    if config.timing is None:
-        raise ConfigError("timeline requires a 'throughput' config section")
-    if not isinstance(failures, FailureSet):
-        raise ConfigError("timeline requires an explicit failure set")
-    background = []
-    for i, (flow, route) in enumerate(config.background):
-        with _named(f"throughput.background_flows[{i}]: "):
-            background.append(
-                analysis.background_flow_plan(topology, failures, flow.flow_id, route))
+    background = _background_plans(config)
     compiler = SchemeCompiler(config)
     plans = []
     for flow in config.flows:
@@ -430,6 +423,22 @@ def build_timeline(config: ScenarioConfig) -> analysis.Timeline:
         fp = shortcut_fixpoint(state, topology, failures, flow)
         plans.append(analysis.build_flow_plan(topology, failures, flow, pre_trace, fp))
     return analysis.convergence_timeline(plans + background, config.capacities, **config.timing)
+
+
+def _background_plans(config: ScenarioConfig) -> list[analysis.FlowTimelinePlan]:
+    """The background flows' timeline plans, once the config is one the
+    timeline can run: it has a ``throughput`` section and an explicit
+    failure set that no background route crosses."""
+    if config.timing is None:
+        raise ConfigError("timeline requires a 'throughput' config section")
+    if not isinstance(config.failures, FailureSet):
+        raise ConfigError("timeline requires an explicit failure set")
+    background = []
+    for i, (flow, route) in enumerate(config.background):
+        with _named(f"throughput.background_flows[{i}]: "):
+            background.append(analysis.background_flow_plan(
+                config.topology, config.failures, flow.flow_id, route))
+    return background
 
 
 @main.command("generate")

@@ -113,7 +113,13 @@ class PortTable:
         return self.inport_start.get(inport, 1)
 
     def copy(self) -> "PortTable":
-        return PortTable(self.priority, self.inport_start, self.partition_tag, self.pinned)
+        """An independent copy; this table already passed ``__init__``'s checks."""
+        table = object.__new__(PortTable)
+        table.priority = list(self.priority)
+        table.inport_start = dict(self.inport_start)
+        table.partition_tag = None if self.partition_tag is None else list(self.partition_tag)
+        table.pinned = set(self.pinned)
+        return table
 
     def to_json_dict(self) -> dict:
         starts = {

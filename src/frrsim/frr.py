@@ -93,7 +93,7 @@ def _adj_of(arcs: Iterable[tuple[str, str]]) -> dict[str, set[str]]:
 
 
 def _arc_safe(
-    nodes: Sequence[str],
+    topology: Topology,
     residual: dict[str, set[str]],
     root: str,
     need: int,
@@ -105,14 +105,18 @@ def _arc_safe(
     Removes ``arc`` from ``residual`` and leaves it out only when the answer
     is True. Only nodes with no witness, or whose witness uses ``arc``, run a
     max flow; every new witness is kept, as it lies inside the residual
-    whether or not ``arc`` is committed.
+    whether or not ``arc`` is committed. The residual arcs are topology
+    arcs, so the topology's sorted neighbours order each max flow's search.
     """
     u, v = arc
     residual[u].discard(v)
-    for x in nodes:
+    order = topology.arc_adjacency()
+    for x in topology.nodes:
         if x == root or (x in witness and arc not in witness[x]):
             continue
-        value, flow = unit_max_flow(residual, root, x, limit=need, return_flow=True)
+        value, flow = unit_max_flow(
+            residual, root, x, limit=need, return_flow=True, _sorted_adj=order
+        )
         if value < need:
             residual[u].add(v)
             return False
@@ -150,7 +154,7 @@ def _grow_out_tree(
             key=lambda a: (depth[a[0]], a[0], a[1]),
         )
         for u, v in candidates:
-            if need == 0 or _arc_safe(nodes, residual, root, need, (u, v), witness):
+            if need == 0 or _arc_safe(topology, residual, root, need, (u, v), witness):
                 tree.add((u, v))
                 spanned.add(v)
                 depth[v] = depth[u] + 1
@@ -202,6 +206,10 @@ def compile_arborescence_frr(
         if arb.root != root:
             raise ValueError("arborescences must be rooted at the flow destination")
     flow.validate(topology)
+    first: dict[tuple[str, str], int] = {}  # (child, parent) -> first arborescence
+    for i, arb in enumerate(arborescences, start=1):
+        for arc in arb.parent.items():
+            first.setdefault(arc, i)
     tables: dict[str, PortTable] = {}
     for v in topology.nodes:
         if v == root:
@@ -214,12 +222,7 @@ def compile_arborescence_frr(
             priority.append(arb.parent[v])
         starts: dict[str | None, int] = {None: 1}
         for u in topology.neighbors(v):
-            j = 1
-            for i, arb in enumerate(arborescences, start=1):
-                if arb.parent.get(u) == v:
-                    j = i
-                    break
-            starts[u] = j
+            starts[u] = first.get((u, v), 1)
         tables[v] = PortTable(priority, starts)
     return ForwardingState(flow, MODE_SUFFIX, tables)
 

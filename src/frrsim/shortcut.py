@@ -105,20 +105,6 @@ def _replay(
     return replay
 
 
-def observations_from_trace(
-    state: ForwardingState,
-    topology: Topology,
-    failures: FailureSet,
-    trace: Trace,
-) -> Observations:
-    """Observations of a trace, which must replay against the state.
-
-    They come from the replayed walk, so priority indices on the caller's
-    hops are never read.
-    """
-    return _observations(_replay(state, topology, failures, trace))
-
-
 def apply_truncation(
     state: ForwardingState,
     topology: Topology,

@@ -11,7 +11,7 @@ import json
 import random
 import re
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 
 def canon_link(a: str, b: str) -> tuple[str, str]:
@@ -178,14 +178,6 @@ class FailureSet:
             if not topology.has_node(node):
                 raise ValueError(f"failed node {node!r} does not exist")
 
-    def dead_links(self, topology: Topology) -> frozenset[tuple[str, str]]:
-        """All links unusable under this failure set (derived view)."""
-        dead = set(self.failed_links)
-        for node in self.failed_nodes:
-            for nbr in topology.neighbors(node):
-                dead.add(canon_link(node, nbr))
-        return frozenset(dead)
-
     def link_down(self, u: str, v: str) -> bool:
         """Whether the link u-v is unusable: it failed or an endpoint did."""
         down = self.failed_nodes
@@ -267,6 +259,7 @@ def unit_max_flow(
     sink: str,
     limit: int | None = None,
     return_flow: bool = False,
+    _sorted_adj: Mapping[str, Sequence[str]] | None = None,
 ):
     """Max flow with unit arc capacities via BFS augmenting paths.
 
@@ -274,6 +267,12 @@ def unit_max_flow(
     number of edge-disjoint undirected paths. Deterministic: neighbors are
     explored in sorted order. Returns the value, or ``(value, flow_arcs)``
     when return_flow is set, where flow_arcs is the set of net-flow arcs.
+
+    ``_sorted_adj`` (internal) lists, in sorted order, a superset of each
+    node's out- and in-neighbours in ``adj``, such as the neighbours of the
+    topology ``adj`` was cut from. The search then walks that list instead
+    of sorting the candidates at every visit; the order, and so the
+    result, is the same.
     """
     flow: set[tuple[str, str]] = set()
     into: dict[str, set[str]] = {}  # into[w]: every v with (v, w) in flow
@@ -286,7 +285,7 @@ def unit_max_flow(
             for u in frontier:
                 out = adj.get(u, ())
                 back = into.get(u, ())
-                for v in sorted({*out, *back}):
+                for v in sorted({*out, *back}) if _sorted_adj is None else _sorted_adj[u]:
                     if v in parent:
                         continue
                     if v in back or (v in out and (u, v) not in flow):
@@ -447,9 +446,10 @@ def build_topology(spec) -> Topology:
             raise ValueError(f"topology descriptor {d!r} is missing {key!r}")
         value = d[key]
         try:
-            # int() would truncate a fraction and read a boolean as 0 or 1
-            if cast is int and (isinstance(value, bool) or (
-                    isinstance(value, float) and not value.is_integer())):
+            # int() would truncate a fraction; int() and float() read a
+            # boolean as 0 or 1
+            if cast is not str and isinstance(value, bool) or (
+                    cast is int and isinstance(value, float) and not value.is_integer()):
                 raise ValueError
             return cast(value)
         except (TypeError, ValueError):

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import csv
 import io
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -44,6 +45,7 @@ from frrsim.analysis import (
 from frrsim.forwarding import MODE_SUFFIX
 from frrsim.frr import PartitionScheme
 from frrsim.scenarios import FIGURE1_PATHS
+from frrsim.topology import shortest_path_length
 
 
 @pytest.fixture
@@ -394,28 +396,49 @@ class TestFailureFreeReuse:
 
 
 class TestSweepStretch:
-    """Residual distances shared per (failure, destination) equal stretch()."""
+    """The sweep's stretches equal stretch(), which builds its own residual graph."""
 
+    @pytest.mark.parametrize("desc", [
+        "torus(3,3)", "hypercube(3)", "torus(4,4)",
+        {"kind": "random", "n": 9, "p": 0.5, "seed": 7, "min_edge_connectivity": 3},
+    ], ids=["torus(3,3)", "hypercube(3)", "torus(4,4)", "random(9,seed=7)"])
     @pytest.mark.parametrize("kind", ["links", "nodes"])
-    def test_matches_stretch_per_case(self, kind):
-        t = build_topology("torus(3,3)")
+    def test_matches_stretch_per_case(self, desc, kind, monkeypatch):
+        t = build_topology(desc)
         if kind == "links":
             failure_sets = enumerate_link_failures(t)
         else:
             failure_sets = enumerate_node_failures(t)
+        compile_state = SCHEME_COMPILERS["arborescence"](t)
+        flows = all_pairs(t)
+        residuals = []
+        real_residual = analysis.residual_adjacency
+        monkeypatch.setattr(analysis, "residual_adjacency", lambda topology, failures: (
+            residuals.append(failures) or real_residual(topology, failures)))
         report = run_failure_sweep(
-            t, arborescence_compiler(t, 4), all_pairs(t), failure_sets,
-            check_rounds=kind == "links",
+            t, compile_state, flows, failure_sets, check_rounds=kind == "links"
         )
+        assert len(residuals) == len(set(residuals)) <= len(failure_sets)
+        walks = failure_free_walks(t, compile_state, flows)
         by_label = {fs.label(): fs for fs in failure_sets}
         delivered = [c for c in report.cases if c.verdict == "delivered"]
         assert len(delivered) == len(report.cases)
+        sources = Counter()
         for case in delivered:
             flow = Flow(*case.flow_id.split("->"))
             failures = by_label[case.failure]
             fp = case.fixpoint
+            if not misses_walk(walks, case, failures):
+                sources["fresh"] += 1
+            elif fp.final_trace.hop_count == shortest_path_length(
+                t, FailureSet(), flow.source, flow.destination
+            ):
+                sources["reused shortest"] += 1
+            else:
+                sources["reused longer"] += 1
             assert case.stretch_before == stretch(fp.initial_trace, t, failures, flow)
             assert case.stretch_after == stretch(fp.final_trace, t, failures, flow)
+        assert set(sources) == {"fresh", "reused shortest", "reused longer"}
 
     def test_residual_unreachable_is_an_exception_case(self, monkeypatch):
         # A fixpoint blind to the failure delivers over the dead link, so

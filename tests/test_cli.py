@@ -161,6 +161,11 @@ class TestRunCommand:
     @pytest.mark.parametrize("where", ["flag", "env", "config"])
     def test_output_dir_that_is_a_file_is_a_clean_error(self, runner, tmp_path, monkeypatch,
                                                         command, where):
+        # The directory is checked before any flow compiles or runs.
+        work = []
+        monkeypatch.setattr(cli, "build_timeline", lambda *a: work.append("timeline"))
+        monkeypatch.setattr(cli.analysis, "run_failure_sweep",
+                            lambda *a, **k: work.append("sweep"))
         taken = tmp_path / "taken"
         taken.write_text("")
         out = str(taken / "sub") if where == "config" else str(taken)
@@ -176,6 +181,7 @@ class TestRunCommand:
         assert result.exit_code == 1, result.output
         assert f"Error: cannot create output directory {out}: " in result.output
         assert taken.read_text() == ""
+        assert work == []
 
     def test_bad_config_is_a_clean_error(self, runner, tmp_path):
         path = tmp_path / "broken.json"
@@ -202,6 +208,8 @@ class TestRunCommand:
              "topology.a must be an integer, got 3.7"),
             ("topology", {"kind": "hypercube", "d": True},
              "topology.d must be an integer, got True"),
+            ("topology", {"kind": "random", "n": 6, "p": True, "seed": 1},
+             "topology.p must be a number, got True"),
             ("flows", [{"source": "S", "destination": "D"}] * 2,
              "flows[1] repeats flow id 'S->D'"),
             ("flows", [{"source": "S", "destination": "D", "weight": 2}],
@@ -212,7 +220,7 @@ class TestRunCommand:
         ids=["flows-number", "flows-entry-list", "topology-string", "throughput-number",
              "throughput-zero", "throughput-false", "throughput-empty-string",
              "throughput-empty-list", "output-dir-number", "topology-int-word",
-             "topology-fraction", "topology-bool",
+             "topology-fraction", "topology-bool", "topology-bool-p",
              "flows-duplicate", "flows-unknown-key", "paths-miss-a-flow"],
     )
     def test_wrong_shape_names_the_field(self, runner, tmp_path, field, value, message):

@@ -103,17 +103,11 @@ class TestRoute:
         # a remote failure never changes a node's own decision
         scheme = PartitionScheme(flow=figure1_flow, paths=FIGURE1_PATHS, relaxed=True)
         state = compile_partition_frr(figure1, scheme, figure1_flow)
-        remote = FailureSet.of(links=[("S4", "D")]).dead_links(figure1)
-        nothing = FailureSet.none().dead_links(figure1)
-
-        def dead_with(dead_set):
-            return lambda u, v: tuple(sorted((u, v))) in dead_set
-
+        remote = FailureSet.of(links=[("S4", "D")]).link_down
+        nothing = FailureSet.none().link_down
         for v in ("S", "S1", "S2", "S3"):  # S4-D is not incident to these
             for inport in state.tables[v].inport_start:
-                assert state.select(v, inport, dead_with(remote)) == state.select(
-                    v, inport, dead_with(nothing)
-                )
+                assert state.select(v, inport, remote) == state.select(v, inport, nothing)
 
     def test_inport_oblivious_state_routes_fine(self, figure1, figure1_flow):
         # degenerate case: every inport starts at 1 (forwarding ignores inports)

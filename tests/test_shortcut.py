@@ -31,8 +31,8 @@ from frrsim.scenarios import FIGURE1_PATHS
 from frrsim.shortcut import (
     NodeObservation,
     RuleChange,
+    _observations,
     apply_truncation,
-    observations_from_trace,
     revert_changes,
 )
 
@@ -137,12 +137,13 @@ class TestObserveAndTruncate:
             observe_and_truncate(figure1_state, figure1, FailureSet.none(), trace)
 
 
-class TestObservationsFromTrace:
+class TestObservations:
     @pytest.mark.parametrize("index", [None, 99])
-    def test_observations_ignore_the_callers_indices(
+    def test_truncation_ignores_the_callers_indices(
         self, figure1_state, figure1, figure1_flow, s2s4_failure, index
     ):
         trace = route(figure1_state, figure1, s2s4_failure, figure1_flow)
+        assert _observations(trace)["S1"].exits == {("S2", 1), ("S3", 2)}
         rebuilt = Trace(
             trace.flow_id,
             tuple(Hop(h.node, h.inport, h.outport, index) for h in trace.hops),
@@ -150,16 +151,16 @@ class TestObservationsFromTrace:
             trace.final_node,
             trace.loop_inport,
         )
-        expected = observations_from_trace(figure1_state, figure1, s2s4_failure, trace)
-        assert observations_from_trace(figure1_state, figure1, s2s4_failure, rebuilt) == expected
-        assert expected["S1"].exits == {("S2", 1), ("S3", 2)}
+        expected = observe_and_truncate(figure1_state.copy(), figure1, s2s4_failure, trace)
+        assert expected
+        assert observe_and_truncate(figure1_state, figure1, s2s4_failure, rebuilt) == expected
 
     def test_trace_from_a_later_start_replays(
         self, figure1_state, figure1, figure1_flow, s2s4_failure
     ):
         trace = route(figure1_state, figure1, s2s4_failure, figure1_flow, start="S2")
-        obs = observations_from_trace(figure1_state, figure1, s2s4_failure, trace)
-        assert obs["S2"].inports == {None}
+        assert _observations(trace)["S2"].inports == {None}
+        observe_and_truncate(figure1_state, figure1, s2s4_failure, trace)
 
 
 class TestShortcutProperties:
@@ -167,7 +168,7 @@ class TestShortcutProperties:
         self, figure1_state, figure1, figure1_flow, s2s4_failure
     ):
         trace = route(figure1_state, figure1, s2s4_failure, figure1_flow)
-        obs = observations_from_trace(figure1_state, figure1, s2s4_failure, trace)
+        obs = _observations(trace)
         batch = figure1_state.copy()
         apply_truncation(batch, figure1, s2s4_failure, obs)
         for node in obs:
@@ -179,7 +180,7 @@ class TestShortcutProperties:
         self, figure1_state, figure1, figure1_flow, s2s4_failure
     ):
         trace = route(figure1_state, figure1, s2s4_failure, figure1_flow)
-        obs = observations_from_trace(figure1_state, figure1, s2s4_failure, trace)
+        obs = _observations(trace)
         batch = figure1_state.copy()
         apply_truncation(batch, figure1, s2s4_failure, obs)
 

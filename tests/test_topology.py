@@ -201,14 +201,12 @@ class TestShortestPaths:
 class TestFailureSet:
     def test_node_failure_kills_incident_links(self, figure1):
         fs = FailureSet.of(nodes=["S4"])
-        dead = fs.dead_links(figure1)
-        assert dead == frozenset(
-            {("S2", "S4"), ("S3", "S4"), ("D", "S4")}
-        )
+        dead = {link for link in figure1.links if fs.link_down(*link)}
+        assert dead == {("S2", "S4"), ("S3", "S4"), ("D", "S4")}
 
-    def test_link_down_matches_dead_links(self, figure1):
+    def test_link_down_covers_failed_links_and_nodes(self, figure1):
         fs = FailureSet.of(links=[("S1", "S2")], nodes=["S4"])
-        dead = fs.dead_links(figure1)
+        dead = {("S1", "S2"), ("S2", "S4"), ("S3", "S4"), ("D", "S4")}
         for u, v in figure1.links:
             assert fs.link_down(u, v) == fs.link_down(v, u) == ((u, v) in dead)
 
@@ -286,6 +284,34 @@ class TestNetworkxOracle:
             assert all(net[x] == 0 for x in adj if x not in (s, t))
             for limit in (1, 2, 3):
                 assert unit_max_flow(adj, s, t, limit=limit) == min(limit, expected)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_presorted_neighbours_on_asymmetric_residuals(self, seed):
+        # Arcs of a random topology with some deleted, as decomposition
+        # leaves them: out- and in-neighbours differ, and both are subsets
+        # of the topology's sorted neighbours.
+        nx = pytest.importorskip("networkx")
+        rng = random.Random(seed)
+        n = 8 + seed
+        links = [
+            (str(i), str(j)) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.5
+        ]
+        t = Topology([str(i) for i in range(n)], links)
+        adj = {u: {v for v in t.neighbors(u) if rng.random() < 0.7} for u in t.nodes}
+        assert any(u not in adj[v] for u in adj for v in adj[u])
+        graph = nx.DiGraph()
+        graph.add_nodes_from(adj)
+        graph.add_edges_from(((u, v) for u in adj for v in adj[u]), capacity=1)
+        order = t.arc_adjacency()
+        for s, d in itertools.permutations(t.nodes, 2):
+            expected = nx.maximum_flow_value(graph, s, d)
+            for limit in (None, 2):
+                plain = unit_max_flow(adj, s, d, limit=limit, return_flow=True)
+                presorted = unit_max_flow(
+                    adj, s, d, limit=limit, return_flow=True, _sorted_adj=order
+                )
+                assert presorted == plain, (s, d, limit)
+                assert plain[0] == min(limit or expected, expected)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_edge_connectivity_matches_networkx(self, seed):
