@@ -25,7 +25,7 @@ import itertools
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .forwarding import ForwardingState, Outcome, Trace
 from .shortcut import FixpointResult, revert_changes, shortcut_fixpoint
@@ -190,59 +190,6 @@ def _check_case(case: CaseResult, fp: FixpointResult, check_rounds: bool) -> Non
             case.violations.append("rounds_mismatch")
 
 
-class _FailureFreeCase(NamedTuple):
-    """A flow's checked case with nothing failed, walked in 0 rounds.
-
-    ``fields`` holds every ``CaseResult`` field except ``failure``;
-    ``nodes`` and ``links`` (canonical) are those of the walk. ``shortest``
-    says the walk is a shortest path, and then both stretches in
-    ``fields`` are already 1.0.
-    """
-
-    fields: dict
-    nodes: frozenset[str]
-    links: frozenset[tuple[str, str]]
-    shortest: bool
-
-    def misses(self, failures: FailureSet) -> bool:
-        return failures.failed_nodes.isdisjoint(self.nodes) and (
-            failures.failed_links.isdisjoint(self.links)
-        )
-
-    def case(self, failure: str) -> CaseResult:
-        case = CaseResult(**self.fields, failure=failure)
-        case.violations = list(case.violations)
-        return case
-
-
-def _failure_free_case(
-    state: ForwardingState,
-    topology: Topology,
-    flow: Flow,
-    check_rounds: bool,
-    distance: int | None,
-) -> _FailureFreeCase | None:
-    """Run and check the flow's fixpoint with nothing failed; None unless reusable.
-
-    It is reusable when it delivered in 0 rounds. ``distance`` is the
-    failure-free hop distance between the flow's endpoints. The fixpoint's
-    rule changes are undone either way; an exception propagates.
-    """
-    fp = shortcut_fixpoint(state, topology, FailureSet(), flow)
-    revert_changes(state, fp.all_changes())
-    if fp.rounds or not fp.delivered:
-        return None
-    case = CaseResult(flow_id=flow.flow_id, failure="", verdict="", fixpoint=fp)
-    _check_case(case, fp, check_rounds)
-    shortest = fp.final_trace.hop_count == distance
-    if shortest:
-        case.stretch_before = case.stretch_after = 1.0
-    fields = {name: value for name, value in vars(case).items() if name != "failure"}
-    path = fp.final_trace.node_path()
-    links = frozenset(canon_link(u, v) for u, v in zip(path, path[1:]))
-    return _FailureFreeCase(fields, frozenset(path), links, shortest)
-
-
 def run_failure_sweep(
     topology: Topology,
     compile_state: Callable[[Flow], ForwardingState],
@@ -256,91 +203,100 @@ def run_failure_sweep(
     once per flow and its result is never modified. The flow's cases share
     one working copy: after each case, the rule changes its fixpoint
     recorded are undone in reverse order, and a case that raised before
-    its fixpoint returned gets a fresh copy instead.
+    its fixpoint returned gets a fresh copy instead. Cases where the base
+    reroute already fails to deliver are reported as frr_failed and
+    excluded from the guarantee checks; an exception is recorded as the
+    case's verdict.
 
-    Each flow first runs its fixpoint with nothing failed. If that walk is
-    delivered in 0 rounds, every failure set that fails no node and no link
-    of the walk reuses its result. This is exact because shortcutting is
-    local. With nothing failed, each hop took the first entry of its
-    suffix (greedy state skips only the return edge, never a dead entry),
-    and that entry is still live, so the walk is the same. Zero rounds
-    means no inport saw an exit deeper than its start, which no failure
-    can change, so no rule changes either. Such cases share one
-    ``FixpointResult`` object, so a ``CaseResult.fixpoint`` must be
-    treated as read-only. If the failure-free fixpoint raises, loops,
-    drops or needs a round, every case of the flow runs its own fixpoint.
+    Each flow first runs, unreported, the case with nothing failed. If it
+    is delivered in 0 rounds, it is the template of every failure set that
+    fails no node and no link of its walk: such a case copies the
+    template's fields under its own label. This is exact because
+    shortcutting is local. With nothing failed, each hop took the first
+    entry of its suffix (greedy state skips only the return edge, never a
+    dead entry), and that entry is still live, so the walk is the same.
+    Zero rounds means no inport saw an exit deeper than its start, which
+    no failure can change, so no rule changes either. The copies share the
+    template's ``FixpointResult`` object, so a ``CaseResult.fixpoint`` must
+    be treated as read-only. If the case with nothing failed raises,
+    loops, drops or needs a round, every case of the flow runs its own
+    fixpoint.
 
-    A reused walk whose hop count h is the failure-free distance has
-    stretch 1.0 before and after under every failure it misses: it
-    survives, so the residual distance is at most h, and removing links
-    lengthens no path, so it is at least h. Only the other cases look up
-    a residual distance. The residual graph of a failure set is built
-    once per sweep, and its distances to a destination once per (failure
-    set, destination); the failure-free distances come from one search
-    per destination. Cases where the base reroute already fails to
-    deliver are reported as frr_failed and excluded from the guarantee
-    checks.
+    A copy keeps the template's stretch when it is 1.0, that is when the
+    walk's hop count h is the failure-free distance: the walk survives, so
+    the residual distance is at most h, and removing links lengthens no
+    path, so it is at least h. Every other stretch looks up a residual
+    distance. The residual graph of a failure set (the topology itself for
+    nothing failed) is built once per sweep, and its distances to a
+    destination once per (failure set, destination).
     """
     cases: list[CaseResult] = []
     violations: dict[str, int] = {}
     labels = [failures.label() for failures in failure_sets]
-    residuals: dict[int, dict[str, list[str]]] = {}
-    distances: dict[tuple[int, str], dict[str, int]] = {}
-    free_distances: dict[str, dict[str, int]] = {}
+    # keyed by index into failure_sets, None for nothing failed
+    residuals: dict[int | None, Mapping[str, Sequence[str]]] = {None: topology.arc_adjacency()}
+    distances: dict[tuple[int | None, str], dict[str, int]] = {}
+
+    def distance(index: int | None, flow: Flow) -> int | None:
+        key = (index, flow.destination)
+        if key not in distances:
+            if index not in residuals:
+                residuals[index] = residual_adjacency(topology, failure_sets[index])
+            distances[key] = bfs_distances(residuals[index], flow.destination)
+        return distances[key].get(flow.source)
+
+    def run_case(case: CaseResult, flow: Flow, failures: FailureSet, index: int | None,
+                 state: ForwardingState, base: ForwardingState) -> ForwardingState:
+        """Run, check and measure one case; return the state for the flow's next case."""
+        fp = None
+        try:
+            fp = case.fixpoint = shortcut_fixpoint(state, topology, failures, flow)
+            if fp.initial_trace.outcome is not Outcome.DELIVERED:
+                case.verdict = "frr_failed"
+                case.hops_before = fp.initial_trace.hop_count
+            else:
+                _check_case(case, fp, check_rounds)
+                optimal = distance(index, flow)
+                case.stretch_before = _over_optimal(fp.initial_trace, optimal)
+                if fp.delivered:
+                    case.stretch_after = _over_optimal(fp.final_trace, optimal)
+        except Exception as exc:  # exceptions are violations, not aborts
+            case.verdict = "exception"
+            case.error = f"{type(exc).__name__}: {exc}"
+            case.violations.append("exception")
+        if fp is None:
+            return base.copy()
+        revert_changes(state, fp.all_changes())
+        return state
+
     for flow in flows:
         base = compile_state(flow)
-        state = base.copy()
-        if flow.destination not in free_distances:
-            free_distances[flow.destination] = bfs_distances(
-                topology.arc_adjacency(), flow.destination
-            )
-        try:
-            kept = _failure_free_case(
-                state, topology, flow, check_rounds,
-                free_distances[flow.destination].get(flow.source),
-            )
-        except Exception:  # the flow's own cases report the fault
-            kept = None
-            state = base.copy()
+        template = CaseResult(flow_id=flow.flow_id, failure="", verdict="")
+        state = run_case(template, flow, FailureSet(), None, base.copy(), base)
+        reusable = template.verdict == "delivered" and not template.rounds
+        if reusable:
+            walk = template.fixpoint.final_trace
+            path = walk.node_path()
+            nodes = frozenset(path)
+            links = frozenset(canon_link(u, v) for u, v in zip(path, path[1:]))
+            fields = {name: value for name, value in vars(template).items()
+                      if name not in ("failure", "violations")}
         for index, failures in enumerate(failure_sets):
             if flow.source in failures.failed_nodes or (
                 flow.destination in failures.failed_nodes
             ):
                 continue
-            reused = kept is not None and kept.misses(failures)
-            if reused:
-                case = kept.case(labels[index])
+            if reusable and failures.failed_nodes.isdisjoint(nodes) and (
+                failures.failed_links.isdisjoint(links)
+            ):
+                case = CaseResult(**fields, failure=labels[index],
+                                  violations=list(template.violations))
+                if template.stretch_before != 1.0:
+                    case.stretch_before = case.stretch_after = _over_optimal(
+                        walk, distance(index, flow))
             else:
                 case = CaseResult(flow_id=flow.flow_id, failure=labels[index], verdict="")
-            if not (reused and kept.shortest):  # else checked, stretches 1.0, no rule changed
-                fp = case.fixpoint
-                try:
-                    if not reused:
-                        fp = shortcut_fixpoint(state, topology, failures, flow)
-                        case.fixpoint = fp
-                        if fp.initial_trace.outcome is not Outcome.DELIVERED:
-                            case.verdict = "frr_failed"
-                            case.hops_before = fp.initial_trace.hop_count
-                        else:
-                            _check_case(case, fp, check_rounds)
-                    if case.verdict != "frr_failed":
-                        key = (index, flow.destination)
-                        if key not in distances:
-                            if index not in residuals:
-                                residuals[index] = residual_adjacency(topology, failures)
-                            distances[key] = bfs_distances(residuals[index], flow.destination)
-                        optimal = distances[key].get(flow.source)
-                        case.stretch_before = _over_optimal(fp.initial_trace, optimal)
-                        if fp.delivered:
-                            case.stretch_after = _over_optimal(fp.final_trace, optimal)
-                except Exception as exc:  # exceptions are violations, not aborts
-                    case.verdict = "exception"
-                    case.error = f"{type(exc).__name__}: {exc}"
-                    case.violations.append("exception")
-                if fp is None:
-                    state = base.copy()
-                else:
-                    revert_changes(state, fp.all_changes())
+                state = run_case(case, flow, failures, index, state, base)
             for kind in case.violations:
                 violations[kind] = violations.get(kind, 0) + 1
             cases.append(case)

@@ -116,7 +116,8 @@ class ScenarioConfig:
         throughput = data.get("throughput")
         return cls(topology, flows, *_scheme(data["scheme"], topology, flows),
                    _failures(data["failures"], topology), data.get("output_dir"),
-                   *((None,) * 3 if throughput is None else _throughput(throughput, topology)))
+                   *((None,) * 3 if throughput is None
+                     else _throughput(throughput, topology, flows)))
 
     @classmethod
     def load(cls, path: str, fail: str | None = None,
@@ -209,12 +210,18 @@ def _failures(raw, topology: Topology) -> FailureSet | str:
     return failures
 
 
-def _throughput(raw, topology: Topology):
+def _throughput(raw, topology: Topology, flows: tuple[Flow, ...]):
     """The ``throughput`` section: a positive rate for every directed link (and
-    nothing else), background (flow, route) pairs and the timing."""
+    nothing else), background (flow, route) pairs whose ids no flow has, and
+    the timing."""
     params = _object(raw, "throughput", {"capacities", "background_flows", *TIMING_DEFAULTS})
     background = _flows(params.get("background_flows", []), "throughput.background_flows",
                         topology, routed=True)
+    primary = {flow.flow_id for flow in flows}
+    for i, (flow, _) in enumerate(background):
+        if flow.flow_id in primary:
+            raise ConfigError(
+                f"throughput.background_flows[{i}] repeats flow id {flow.flow_id!r} of flows")
     timing = {key: default if params.get(key) is None else _number(params[key], f"throughput.{key}")
               for key, default in TIMING_DEFAULTS.items()}
     with _named("throughput."):

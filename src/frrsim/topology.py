@@ -46,6 +46,7 @@ class Topology:
                 raise ValueError(f"duplicate link {link}")
             seen.add(link)
         self.links: tuple[tuple[str, str], ...] = tuple(sorted(seen))
+        self._link_set = frozenset(seen)
         adj: dict[str, list[str]] = {n: [] for n in self.nodes}
         for a, b in self.links:
             adj[a].append(b)
@@ -69,14 +70,7 @@ class Topology:
         return v in self._adj
 
     def has_link(self, a: str, b: str) -> bool:
-        return canon_link(a, b) in self._link_set()
-
-    def _link_set(self) -> frozenset[tuple[str, str]]:
-        cached = getattr(self, "_links_frozen", None)
-        if cached is None:
-            cached = frozenset(self.links)
-            self._links_frozen = cached
-        return cached
+        return canon_link(a, b) in self._link_set
 
     def directed_edges(self) -> list[tuple[str, str]]:
         out = []
@@ -182,9 +176,6 @@ class FailureSet:
         """Whether the link u-v is unusable: it failed or an endpoint did."""
         down = self.failed_nodes
         return u in down or v in down or canon_link(u, v) in self.failed_links
-
-    def is_empty(self) -> bool:
-        return not self.failed_links and not self.failed_nodes
 
     def label(self) -> str:
         parts = [f"link:{a}-{b}" for a, b in sorted(self.failed_links)]

@@ -440,6 +440,49 @@ class TestSweepStretch:
             assert case.stretch_after == stretch(fp.final_trace, t, failures, flow)
         assert set(sources) == {"fresh", "reused shortest", "reused longer"}
 
+    def test_distance_memo_searches_each_key_once_and_never_for_reused_shortest_walks(
+        self, monkeypatch
+    ):
+        t = build_topology("torus(4,4)")
+        # greedy walks are shortest, so some (failure set, destination) keys
+        # are wanted by reused cases alone
+        compile_state = SCHEME_COMPILERS["greedy"](t)
+        flows = all_pairs(t)
+        failure_sets = enumerate_link_failures(t)
+        graphs = {}  # id of each residual graph -> label of its failure set
+        searches = []  # (failure label, None for nothing failed; destination)
+        real_residual, real_bfs = analysis.residual_adjacency, analysis.bfs_distances
+
+        def residual(topology, failures):
+            adj = real_residual(topology, failures)
+            graphs[id(adj)] = failures.label()
+            return adj
+
+        monkeypatch.setattr(analysis, "residual_adjacency", residual)
+        monkeypatch.setattr(analysis, "bfs_distances", lambda adj, source: (
+            searches.append((graphs.get(id(adj)), source)) or real_bfs(adj, source)))
+        report = run_failure_sweep(t, compile_state, flows, failure_sets)
+        assert len(searches) == len(set(searches))
+        assert {d for label, d in searches if label is None} == {f.destination for f in flows}
+        walks = failure_free_walks(t, compile_state, flows)
+        by_label = {fs.label(): fs for fs in failure_sets}
+        needed, reused_shortest = set(), set()
+        for case in report.cases:
+            if case.verdict == "frr_failed":  # no stretch, no distance
+                continue
+            flow = Flow(*case.flow_id.split("->"))
+            shortest = case.fixpoint.final_trace.hop_count == shortest_path_length(
+                t, FailureSet(), flow.source, flow.destination)
+            if misses_walk(walks, case, by_label[case.failure]) and shortest:
+                reused_shortest.add((case.failure, flow.destination))
+            else:
+                needed.add((case.failure, flow.destination))
+        assert {key for key in searches if key[0] is not None} == needed
+        assert reused_shortest - needed, "some keys are wanted by reused shortest walks only"
+        # clones of one template share its fixpoint, never its violations list
+        assert max(Counter(id(case.fixpoint) for case in report.cases).values()) > 1
+        assert len({id(case.violations) for case in report.cases}) == len(report.cases)
+
     def test_residual_unreachable_is_an_exception_case(self, monkeypatch):
         # A fixpoint blind to the failure delivers over the dead link, so
         # the residual graph has no route to compare against.

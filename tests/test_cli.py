@@ -479,6 +479,8 @@ class TestTimelineCommand:
              "throughput.background_flows[0]: background route step (S4, H) is not a link"),
             ("background_flows", [{**FIGURE1_BACKGROUND, "route": ["S2", "S4", "S3", "S1", "H"]}],
              "throughput.background_flows[0]: background flow 'S2->H' route crosses the failure"),
+            ("background_flows", [{**FIGURE1_BACKGROUND, "flow_id": "S->D"}],
+             "throughput.background_flows[0] repeats flow id 'S->D' of flows"),
         ]:
             cfg = figure1_config()
             cfg["throughput"][field] = value
@@ -488,16 +490,16 @@ class TestTimelineCommand:
             assert f"Error: {message}" in result.output
             assert compiled == []
 
-    def test_background_flow_with_a_primary_id_replaces_it_however_spelt(self):
+    def test_background_flow_with_a_primary_id_is_rejected_however_spelt(self):
         route = ["S", "S1", "S3", "S4", "D"]
-        csvs = []
         for flow_id in ({}, {"flow_id": "S->D"}):
             cfg = figure1_config()
             cfg["throughput"]["background_flows"] = [
-                {"source": "S", "destination": "D", "route": route, **flow_id}]
-            csvs.append(cli.build_timeline(ScenarioConfig.from_dict(cfg)).to_csv())
-        assert csvs[0] == csvs[1]
-        assert ",S->D,1.0,frr_only" in csvs[0]  # the fixed route never loses its link
+                FIGURE1_BACKGROUND, {"source": "S", "destination": "D", "route": route, **flow_id}]
+            with pytest.raises(ConfigError) as exc:
+                ScenarioConfig.from_dict(cfg)
+            assert str(exc.value) == (
+                "throughput.background_flows[1] repeats flow id 'S->D' of flows")
 
     def test_empty_throughput_means_defaults(self, runner, tmp_path):
         cfg = figure1_config()

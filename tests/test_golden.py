@@ -42,6 +42,7 @@ def _all_pairs_sweep(topology: dict, scheme: dict, failures: str = "sweep_links"
 def _timeline_torus44() -> dict:
     """All-pairs partition k=2 timeline on torus(4,4) with mixed link rates."""
     config = _all_pairs_sweep({"kind": "torus", "a": 4, "b": 4}, {"kind": "partition", "k": 2})
+    config["flows"].remove({"source": "0_0", "destination": "0_2"})  # the background flow's id
     edges = build_topology(config["topology"]).directed_edges()
     rates = (1, 2, "3/2")
     config["failures"] = {"kind": "explicit", "links": [["1_1", "1_2"]], "nodes": []}
