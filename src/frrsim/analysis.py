@@ -25,7 +25,7 @@ import itertools
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence, TextIO
 
 from .forwarding import ForwardingState, Outcome, Trace
 from .shortcut import FixpointResult, revert_changes, shortcut_fixpoint
@@ -138,12 +138,11 @@ class SweepReport:
         return sum(self.violations_by_kind.values())
 
     @functools.cached_property
-    def rows(self) -> list[tuple[CaseResult, dict]]:
-        """Each case with its ``to_row()``, in (flow, failure) order, which is
-        the order of every run artefact. Computed once, on first use, so the
-        cases must not change after that."""
-        cases = sorted(self.cases, key=lambda c: (c.flow_id, c.failure))
-        return [(case, case.to_row()) for case in cases]
+    def sorted_cases(self) -> list[CaseResult]:
+        """The cases in (flow, failure) order, which is the order of every run
+        artefact. Sorted once, on first use, so the cases must not change
+        after that."""
+        return sorted(self.cases, key=lambda c: (c.flow_id, c.failure))
 
     def summary_dict(self) -> dict:
         return {
@@ -327,6 +326,22 @@ def json_items(items: Sequence[str], depth: int, brackets: str = "[]") -> str:
     return f"{brackets[0]}{pad}  {body}{pad}{brackets[1]}"
 
 
+def write_json_items(file: TextIO, chunks: Iterable[Sequence[str]], depth: int) -> None:
+    """``json_items`` of every chunk's items in turn, one chunk at a time.
+
+    Each chunk is a non-empty list of encoded items; only one is held at once.
+    """
+    # Encoded JSON never holds a raw NUL, so it splits off the brackets.
+    head, tail = json_items(["\0"], depth).split("\0")
+    separator = _encoder(depth).item_separator
+    written = False
+    for items in chunks:
+        file.write(separator if written else head)
+        file.write(separator.join(items))
+        written = True
+    file.write(tail if written else "[]")
+
+
 def json_fields(records: Sequence, depth: int) -> list[str]:
     """The fields of each flat record (keys sorted) or the items of each flat
     list, printed ``depth + 1`` deep and joined by that depth's separator."""
@@ -340,27 +355,65 @@ def json_fields(records: Sequence, depth: int) -> list[str]:
     return text.split(close + encoder.item_separator + open_)
 
 
-def report_csv(report: SweepReport) -> str:
-    """CSV rows: flow, failure, verdict, hops and stretch before/after, rounds."""
+# Run artefacts are written WRITE_CHUNK cases at a time, so a writer holds one
+# chunk's text, never a whole document.
+WRITE_CHUNK = 256
+
+
+def in_chunks(cases: Sequence[CaseResult]) -> Iterator[Sequence[CaseResult]]:
+    """``cases`` as consecutive slices of ``WRITE_CHUNK`` cases (the last may be shorter)."""
+    for first in range(0, len(cases), WRITE_CHUNK):
+        yield cases[first:first + WRITE_CHUNK]
+
+
+def _written(write: Callable[[TextIO], None], file: TextIO | None) -> str | None:
+    """Run ``write`` into ``file``, or into a buffer whose text is returned."""
+    if file is not None:
+        return write(file)
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(ROW_FIELDS)
-    writer.writerows(row.values() for _, row in report.rows)
+    write(buf)
     return buf.getvalue()
 
 
-def report_json(report: SweepReport) -> str:
-    """``{"cases": [row + error + violations, ...], "summary": summary_dict()}``."""
-    fields = json_fields([{**row, "error": case.error} for case, row in report.rows], 2)
-    violations = json_fields([case.violations for case, _ in report.rows], 3)
-    cases = [  # "violations" sorts after every other field
+def report_csv(report: SweepReport, file: TextIO | None = None) -> str | None:
+    """CSV rows: flow, failure, verdict, hops and stretch before/after, rounds.
+
+    Written into ``file`` if given (returning None), else returned as text.
+    """
+    def write(out: TextIO) -> None:
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(ROW_FIELDS)
+        writer.writerows(case.to_row().values() for case in report.sorted_cases)
+
+    return _written(write, file)
+
+
+def _case_records(cases: Sequence[CaseResult]) -> list[str]:
+    """report.json's record of each case: its row, error and violations."""
+    fields = json_fields([{**case.to_row(), "error": case.error} for case in cases], 2)
+    violations = json_fields([case.violations for case in cases], 3)
+    return [  # "violations" sorts after every other field
         json_items([f, f'"violations": {json_items([v], 3)}'], 2, "{}")
         for f, v in zip(fields, violations)
     ]
+
+
+def report_json(report: SweepReport, file: TextIO | None = None) -> str | None:
+    """``{"cases": [row + error + violations, ...], "summary": summary_dict()}``.
+
+    Written into ``file`` if given (returning None), else returned as text.
+    """
     summary = report.summary_dict()
     by_kind = json_items(json_fields([summary.pop("violations_by_kind")], 2), 2, "{}")
     summary = json_items([*json_fields([summary], 1), f'"violations_by_kind": {by_kind}'], 1, "{}")
-    return json_items([f'"cases": {json_items(cases, 1)}', f'"summary": {summary}'], 0, "{}") + "\n"
+    head, tail = json_items(['"cases": \0', f'"summary": {summary}'], 0, "{}").split("\0")
+
+    def write(out: TextIO) -> None:
+        out.write(head)
+        write_json_items(out, map(_case_records, in_chunks(report.sorted_cases)), 1)
+        out.write(tail + "\n")
+
+    return _written(write, file)
 
 
 # ---------------------------------------------------------------------------
@@ -497,26 +550,31 @@ class Timeline:
             for t in times[first:stop]
         ]
 
-    def to_csv(self) -> str:
+    def to_csv(self, file: TextIO | None = None) -> str | None:
         """``samples()`` as CSV with a header, in the same row order.
 
-        Times and rates are written as ``repr(float(...))``. Each sample
-        time is formatted once, and each segment's rate once per flow.
+        Written into ``file`` block by block if given (returning None), else
+        returned as text. Times and rates are written as ``repr(float(...))``.
+        Each sample time is formatted once, and each segment's rate once per
+        flow.
         """
         times = self._sample_times()
         stamps = [repr(float(t)) for t in times]
-        row = io.StringIO()
-        writer = csv.writer(row, lineterminator="\n")
-        writer.writerow(["time", "flow", "rate", "regime"])
-        lines = [row.getvalue()]
-        for first, stop, flow_id, rate, regime in self._blocks(times):
-            # A block's rows differ only in the time, which never needs quoting.
-            row.seek(0)
-            row.truncate()
-            writer.writerow(("", flow_id, repr(float(rate)), regime))
-            tail = row.getvalue()
-            lines += [stamp + tail for stamp in stamps[first:stop]]
-        return "".join(lines)
+
+        def write(out: TextIO) -> None:
+            row = io.StringIO()
+            writer = csv.writer(row, lineterminator="\n")
+            writer.writerow(["time", "flow", "rate", "regime"])
+            out.write(row.getvalue())
+            for first, stop, flow_id, rate, regime in self._blocks(times):
+                # A block's rows differ only in the time, which never needs quoting.
+                row.seek(0)
+                row.truncate()
+                writer.writerow(("", flow_id, repr(float(rate)), regime))
+                tail = row.getvalue()
+                out.write("".join([stamp + tail for stamp in stamps[first:stop]]))
+
+        return _written(write, file)
 
     def _sample_times(self) -> list[Fraction]:
         times, t = [], Fraction(0)

@@ -313,43 +313,76 @@ def _trace_json(trace: Trace) -> str:
     return analysis.json_items([head, f'"hops": {analysis.json_items(hops, 4)}', tail], 3, "{}")
 
 
+@contextlib.contextmanager
+def _artefacts(outdir: Path, *names: str):
+    """Open text files that become ``outdir/name`` only once the block completes.
+
+    Each is written to a sibling ``name.tmp`` and renamed over ``name`` at
+    the end, so a failed write leaves no partial artefact: an exception
+    removes every temporary, and an ``OSError`` is reported by path.
+    """
+    temps = [outdir / f"{name}.tmp" for name in names]
+    try:
+        with contextlib.ExitStack() as stack:
+            yield [stack.enter_context(open(temp, "w", encoding="utf-8")) for temp in temps]
+        for temp, name in zip(temps, names):
+            os.replace(temp, outdir / name)
+    except BaseException as exc:
+        for temp in temps:
+            temp.unlink(missing_ok=True)
+        if isinstance(exc, OSError):
+            raise click.ClickException(
+                f"cannot write {exc.filename or outdir}: {exc.strerror or exc}") from None
+        raise
+
+
 def _write_run_outputs(outdir: Path, report: analysis.SweepReport) -> None:
     """Write traces.json, audit.jsonl, report.csv and report.json.
 
-    Cases reuse one ``FixpointResult`` wherever the failure misses the
-    failure-free walk, so each distinct fixpoint's traces are serialised
-    once and spliced into the record of every case that holds it.
+    Every file is streamed from ``report.sorted_cases``, ``WRITE_CHUNK``
+    cases at a time. Cases reuse one ``FixpointResult`` wherever the
+    failure misses the failure-free walk, so each distinct fixpoint's
+    traces are serialised once per flow and spliced into the record of
+    every case that holds it. Reuse never crosses flows, so that memo is
+    emptied whenever the flow changes.
     """
-    cases = [case for case, _ in report.rows]
+    cases = report.sorted_cases
     traces: dict[int, str] = {}  # id(fixpoint) -> its traces list, two levels deep
-    heads = analysis.json_fields(
-        [{"failure": c.failure, "flow": c.flow_id, "rounds": c.rounds} for c in cases], 1)
-    verdicts = analysis.json_fields([{"verdict": c.verdict} for c in cases], 1)
-    docs = []
-    audit_lines = []
-    for case, head, verdict in zip(cases, heads, verdicts):
-        fp = case.fixpoint
-        if fp is None:
-            fragment = "[]"
-        elif (fragment := traces.get(id(fp))) is None:
-            fragment = traces[id(fp)] = analysis.json_items(
-                [_trace_json(t) for t in fp.traces], 2)
-        docs.append(analysis.json_items([head, f'"traces": {fragment}', verdict], 1, "{}"))
-        if fp:
-            for round_no, changes in enumerate(fp.changes_per_round, start=1):
-                for change in changes:
-                    audit_lines.append(_AUDIT.encode({
-                        "flow": case.flow_id,
-                        "failure": case.failure,
-                        "round": round_no,
-                        **change.to_json_dict(),
-                    }))
-    (outdir / "traces.json").write_text(analysis.json_items(docs, 0) + "\n", encoding="utf-8")
-    (outdir / "audit.jsonl").write_text(
-        "".join(line + "\n" for line in audit_lines), encoding="utf-8"
-    )
-    (outdir / "report.csv").write_text(analysis.report_csv(report), encoding="utf-8")
-    (outdir / "report.json").write_text(analysis.report_json(report), encoding="utf-8")
+    flow_id = None
+
+    def trace_docs(chunk: list[analysis.CaseResult]) -> list[str]:
+        nonlocal flow_id
+        heads = analysis.json_fields(
+            [{"failure": c.failure, "flow": c.flow_id, "rounds": c.rounds} for c in chunk], 1)
+        verdicts = analysis.json_fields([{"verdict": c.verdict} for c in chunk], 1)
+        docs = []
+        for case, head, verdict in zip(chunk, heads, verdicts):
+            if case.flow_id != flow_id:
+                traces.clear()
+                flow_id = case.flow_id
+            fp = case.fixpoint
+            if fp is None:
+                fragment = "[]"
+            elif (fragment := traces.get(id(fp))) is None:
+                fragment = traces[id(fp)] = analysis.json_items(
+                    [_trace_json(t) for t in fp.traces], 2)
+            docs.append(analysis.json_items([head, f'"traces": {fragment}', verdict], 1, "{}"))
+        return docs
+
+    names = ("traces.json", "audit.jsonl", "report.csv", "report.json")
+    with _artefacts(outdir, *names) as (traces_file, audit_file, csv_file, json_file):
+        analysis.write_json_items(traces_file, map(trace_docs, analysis.in_chunks(cases)), 0)
+        traces_file.write("\n")
+        for chunk in analysis.in_chunks(cases):
+            audit_file.write("".join([
+                _AUDIT.encode({"flow": case.flow_id, "failure": case.failure,
+                               "round": round_no, **change.to_json_dict()}) + "\n"
+                for case in chunk if case.fixpoint
+                for round_no, changes in enumerate(case.fixpoint.changes_per_round, start=1)
+                for change in changes
+            ]))
+        analysis.report_csv(report, csv_file)
+        analysis.report_json(report, json_file)
 
 
 @click.group()
@@ -409,7 +442,8 @@ def cmd_timeline(config_path: str, output_dir: str | None):
         _background_plans(config)  # a config the timeline cannot run makes no directory
         outdir = _resolve_output_dir(config, output_dir)
         timeline = build_timeline(config)
-    (outdir / "timeline.csv").write_text(timeline.to_csv(), encoding="utf-8")
+    with _artefacts(outdir, "timeline.csv") as (file,):
+        timeline.to_csv(file)
     click.echo(f"timeline written to {outdir / 'timeline.csv'}")
 
 

@@ -141,16 +141,24 @@ def _grow_out_tree(
     recomputed without it). Removing an arc can therefore lower x's
     root-connectivity below ``need`` only if x has no witness yet or its
     witness uses that arc, and only those nodes are re-checked.
+
+    Unsafe arcs stay unsafe: within one tree the residual only loses arcs
+    (a rejected arc is put back, a committed one leaves for good), and
+    max flows only fall when arcs are removed. So if removing an arc left
+    some node below ``need``, removing it from any later, smaller residual
+    does too, and an arc found unsafe is never tested again.
     """
     nodes = topology.nodes
     residual = _adj_of(avail)
     witness: dict[str, set[tuple[str, str]]] = {}
+    unsafe: set[tuple[str, str]] = set()
     spanned = {root}
     depth = {root: 0}
     tree: set[tuple[str, str]] = set()
     while len(spanned) < len(nodes):
         candidates = sorted(
-            ((u, v) for u in spanned for v in residual.get(u, ()) if v not in spanned),
+            ((u, v) for u in spanned for v in residual.get(u, ())
+             if v not in spanned and (u, v) not in unsafe),
             key=lambda a: (depth[a[0]], a[0], a[1]),
         )
         for u, v in candidates:
@@ -159,6 +167,7 @@ def _grow_out_tree(
                 spanned.add(v)
                 depth[v] = depth[u] + 1
                 break
+            unsafe.add((u, v))
         else:
             raise DecompositionError(
                 f"no extendable arc while packing arborescences at root {root!r}"
@@ -294,8 +303,9 @@ def compute_disjoint_paths(topology: Topology, flow: Flow, k: int) -> PartitionS
     if k < 1:
         raise ValueError("k must be >= 1")
     adj = topology.arc_adjacency()
+    # The topology's sorted neighbours are every node's in- and out-neighbours.
     value, flow_arcs = unit_max_flow(
-        adj, flow.source, flow.destination, return_flow=True
+        adj, flow.source, flow.destination, return_flow=True, _sorted_adj=adj
     )
     if k > value:
         raise ValueError(f"k={k} exceeds max-flow value {value}")

@@ -317,7 +317,7 @@ def edge_connectivity(topology: Topology) -> int:
         src = topology.nodes[0]
         for target in topology.nodes[1:]:
             # Capped at the running minimum, so each value is the new minimum.
-            lam = unit_max_flow(adj, src, target, limit=lam or None)
+            lam = unit_max_flow(adj, src, target, limit=lam or None, _sorted_adj=adj)
     topology._edge_connectivity = lam
     return lam
 

@@ -12,6 +12,8 @@ from frrsim.analysis import REGIME_FRR, REGIME_SHORTCUT, REGIMES
 from frrsim.cli import ConfigError, ScenarioConfig, SchemeCompiler, main
 from frrsim.scenarios import FIGURE1_BACKGROUND, figure1_config
 
+from test_golden import GENERATED
+
 UNIT_RATES = {f"{u},{v}": 1 for u, v in figure1_topology().directed_edges()}
 
 
@@ -182,6 +184,33 @@ class TestRunCommand:
         assert f"Error: cannot create output directory {out}: " in result.output
         assert taken.read_text() == ""
         assert work == []
+
+    @pytest.mark.parametrize("error", [OSError(28, "No space left on device"),
+                                       RuntimeError("fault in the trace encoder")])
+    def test_failed_write_leaves_no_partial_artefact(self, runner, tmp_path, monkeypatch,
+                                                     error):
+        # Small chunks, so traces.json is part written when the 20th trace fails.
+        monkeypatch.setattr(cli.analysis, "WRITE_CHUNK", 3)
+        encoded = []
+        trace_json = cli._trace_json
+
+        def failing(trace):
+            encoded.append(trace)
+            if len(encoded) == 20:
+                raise error
+            return trace_json(trace)
+
+        monkeypatch.setattr(cli, "_trace_json", failing)
+        outdir = tmp_path / "out"
+        config = write_config(tmp_path, "greedy.json", GENERATED["greedy_hypercube3"])
+        result = runner.invoke(main, ["run", config, "--output-dir", str(outdir)])
+        assert result.exit_code == 1, result.output
+        if isinstance(error, OSError):
+            assert f"Error: cannot write {outdir}: No space left on device" in result.output
+        else:
+            assert result.exception is error
+        assert len(encoded) == 20
+        assert list(outdir.iterdir()) == []
 
     def test_bad_config_is_a_clean_error(self, runner, tmp_path):
         path = tmp_path / "broken.json"

@@ -97,6 +97,26 @@ class TestDecomposition:
             validate_disjoint([a1, a2], triangle)
 
 
+def grow_out_tree_retesting_unsafe_arcs(topology, avail, root, need):
+    """``frr._grow_out_tree`` without its set of arcs already found unsafe."""
+    residual = frr_module._adj_of(avail)
+    witness = {}
+    spanned, depth, tree = {root}, {root: 0}, set()
+    while len(spanned) < len(topology.nodes):
+        candidates = sorted(
+            ((u, v) for u in spanned for v in residual.get(u, ()) if v not in spanned),
+            key=lambda a: (depth[a[0]], a[0], a[1]),
+        )
+        for u, v in candidates:
+            if need == 0 or frr_module._arc_safe(topology, residual, root, need, (u, v),
+                                                 witness):
+                tree.add((u, v))
+                spanned.add(v)
+                depth[v] = depth[u] + 1
+                break
+    return tree
+
+
 # sha256 over the decomposition and disjoint-path outputs of
 # test_outputs_are_pinned, captured before witness flows and the reverse-arc
 # index in unit_max_flow: any change in the chosen arcs must show here.
@@ -145,6 +165,33 @@ class TestDecompositionOutputsAndWork:
         calls.update(frr=0, topology=0)
         decompose_arborescences(t, "0_0", 4)
         assert calls["topology"] == 0  # edge connectivity is cached on t
+
+    @pytest.mark.parametrize("spec", [
+        "torus(4,4)",
+        {"kind": "random", "n": 12, "p": 0.4, "seed": 5, "min_edge_connectivity": 2},
+    ])
+    def test_skipping_unsafe_arcs_keeps_the_arcs_and_saves_max_flows(self, monkeypatch, spec):
+        t = build_topology(spec)
+        lam = edge_connectivity(t)
+        calls = [0]
+        inner = frr_module.unit_max_flow
+
+        def counting(*args, **kwargs):
+            calls[0] += 1
+            return inner(*args, **kwargs)
+
+        def decompose_every_root():
+            calls[0] = 0
+            parents = [[a.parent for a in decompose_arborescences(t, root, lam)]
+                       for root in t.nodes]
+            return parents, calls[0]
+
+        monkeypatch.setattr(frr_module, "unit_max_flow", counting)
+        parents, skipping = decompose_every_root()
+        monkeypatch.setattr(frr_module, "_grow_out_tree", grow_out_tree_retesting_unsafe_arcs)
+        reference, retesting = decompose_every_root()
+        assert parents == reference
+        assert skipping < retesting
 
 
 class TestArborescenceCompile:

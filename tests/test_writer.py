@@ -2,8 +2,9 @@
 
 ``reference_write`` is that writer, kept verbatim as the oracle: every
 ``traces.json``, ``audit.jsonl``, ``report.csv`` and ``report.json`` the CLI
-writes must equal its bytes, for generated reports and with or without the C
-accelerator of the ``json`` module.
+writes must equal its bytes, for generated reports, with or without the C
+accelerator of the ``json`` module, and for any ``WRITE_CHUNK``. The
+streamed writers hold one chunk, not a document.
 """
 
 from __future__ import annotations
@@ -13,14 +14,18 @@ import io
 import json
 import json.encoder
 import tempfile
+import tracemalloc
 from pathlib import Path
 
+import pytest
+from click.testing import CliRunner
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from frrsim import CaseResult, FixpointResult, Hop, Outcome, RuleChange, SweepReport, Trace, cli
+from frrsim import (CaseResult, FixpointResult, Hop, Outcome, RuleChange, SweepReport, Trace,
+                    analysis, cli)
 
-from test_golden import GENERATED
+from test_golden import GENERATED, _all_pairs_sweep
 
 RUN_FILES = ("traces.json", "audit.jsonl", "report.csv", "report.json")
 
@@ -218,12 +223,24 @@ def test_artefacts_do_not_depend_on_the_c_accelerator(monkeypatch):
     assert_same_artefacts(covering_report())
 
 
-def test_each_distinct_fixpoint_is_serialised_once(tmp_path, monkeypatch):
-    """A greedy hypercube(3) link sweep: one ``to_json_dict`` per trace of each
-    distinct ``FixpointResult`` (184), not one per trace of each case (704)."""
-    config = tmp_path / "greedy.json"
-    config.write_text(json.dumps(GENERATED["greedy_hypercube3"]))
-    outdir, report = cli._load_and_sweep(str(config), None, None, str(tmp_path / "out"))
+def sweep(tmp_path: Path, config: dict) -> tuple[Path, SweepReport]:
+    """The output directory and the report of ``frrsim run`` on ``config``."""
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    return cli._load_and_sweep(str(path), None, None, str(tmp_path / "out"))
+
+
+@pytest.fixture(scope="module")
+def greedy_hypercube3(tmp_path_factory) -> SweepReport:
+    """Greedy on hypercube(3), all pairs x link failures: most of a flow's
+    cases hold its failure-free fixpoint."""
+    return sweep(tmp_path_factory.mktemp("greedy"), GENERATED["greedy_hypercube3"])[1]
+
+
+def test_each_distinct_fixpoint_is_serialised_once(greedy_hypercube3, tmp_path, monkeypatch):
+    """One ``to_json_dict`` per trace of each distinct ``FixpointResult``
+    (184), not one per trace of each case (704)."""
+    report = greedy_hypercube3
     distinct = {id(c.fixpoint): c.fixpoint for c in report.cases if c.fixpoint}
     per_distinct = sum(len(fp.traces) for fp in distinct.values())
     per_case = sum(len(c.fixpoint.traces) for c in report.cases if c.fixpoint)
@@ -232,5 +249,54 @@ def test_each_distinct_fixpoint_is_serialised_once(tmp_path, monkeypatch):
     calls = []
     to_json_dict = Trace.to_json_dict
     monkeypatch.setattr(Trace, "to_json_dict", lambda self: calls.append(self) or to_json_dict(self))
-    cli._write_run_outputs(outdir, report)
+    cli._write_run_outputs(tmp_path, report)
     assert len(calls) == per_distinct
+
+
+def test_the_trace_memo_holds_one_flow(tmp_path, monkeypatch):
+    """Reuse never crosses flows, so the memo is emptied when the flow
+    changes: a fixpoint that two flows hold is serialised once per flow."""
+    fp = covering_report().cases[0].fixpoint
+    report = make_report([CaseResult(flow, failure, "delivered", fixpoint=fp)
+                          for flow in ("A->D", "B->D") for failure in ("link:x", "link:y")])
+    encoded = []
+    trace_json = cli._trace_json
+    monkeypatch.setattr(cli, "_trace_json", lambda t: encoded.append(t) or trace_json(t))
+    cli._write_run_outputs(tmp_path, report)
+    assert encoded == fp.traces * 2
+
+
+def test_chunks_that_split_a_shared_fixpoint_write_the_same_bytes(greedy_hypercube3,
+                                                                  monkeypatch):
+    monkeypatch.setattr(analysis, "WRITE_CHUNK", 7)
+    cases = greedy_hypercube3.sorted_cases
+    last_and_first = list(zip(cases[6::7], cases[7::7]))
+    assert any(a.fixpoint is not None and a.fixpoint is b.fixpoint for a, b in last_and_first)
+    assert any(a.flow_id != b.flow_id for a, b in last_and_first)
+    assert_same_artefacts(greedy_hypercube3)
+
+
+def test_writer_memory_is_a_fraction_of_what_it_writes(tmp_path):
+    """Greedy on torus(4,4), all pairs x link failures (7,680 cases): the
+    whole-document writer peaked at about 3.4 times the bytes it wrote."""
+    outdir, report = sweep(tmp_path, _all_pairs_sweep({"kind": "torus", "a": 4, "b": 4},
+                                                      {"kind": "greedy"}))
+    tracemalloc.start()
+    try:
+        cli._write_run_outputs(outdir, report)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    written = sum((outdir / name).stat().st_size for name in RUN_FILES)
+    assert written > 6_000_000
+    assert peak < 0.5 * written
+
+
+def test_streamed_timeline_equals_to_csv(tmp_path):
+    config = GENERATED["timeline_torus44"]
+    path = tmp_path / "timeline.json"
+    path.write_text(json.dumps(config))
+    result = CliRunner().invoke(cli.main, ["timeline", str(path), "--output-dir", str(tmp_path)])
+    assert result.exit_code == 0, result.output
+    expected = cli.build_timeline(cli.ScenarioConfig.from_dict(config)).to_csv()
+    assert (tmp_path / "timeline.csv").read_text(encoding="utf-8") == expected
