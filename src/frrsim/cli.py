@@ -318,8 +318,11 @@ def _artefacts(outdir: Path, *names: str):
     """Open text files that become ``outdir/name`` only once the block completes.
 
     Each is written to a sibling ``name.tmp`` and renamed over ``name`` at
-    the end, so a failed write leaves no partial artefact: an exception
-    removes every temporary, and an ``OSError`` is reported by path.
+    the end, in the order given, so no artefact is ever half written: an
+    exception removes every temporary left, and an ``OSError`` is reported
+    by path. Each file is replaced atomically, not the set: if a rename
+    fails, the files renamed before it already hold this output, so the
+    name that marks a complete set goes last.
     """
     temps = [outdir / f"{name}.tmp" for name in names]
     try:
@@ -369,7 +372,7 @@ def _write_run_outputs(outdir: Path, report: analysis.SweepReport) -> None:
             docs.append(analysis.json_items([head, f'"traces": {fragment}', verdict], 1, "{}"))
         return docs
 
-    names = ("traces.json", "audit.jsonl", "report.csv", "report.json")
+    names = ("traces.json", "audit.jsonl", "report.csv", "report.json")  # report.json last
     with _artefacts(outdir, *names) as (traces_file, audit_file, csv_file, json_file):
         analysis.write_json_items(traces_file, map(trace_docs, analysis.in_chunks(cases)), 0)
         traces_file.write("\n")
@@ -443,7 +446,7 @@ def cmd_timeline(config_path: str, output_dir: str | None):
         outdir = _resolve_output_dir(config, output_dir)
         timeline = build_timeline(config)
     with _artefacts(outdir, "timeline.csv") as (file,):
-        timeline.to_csv(file)
+        timeline.write_csv(file)
     click.echo(f"timeline written to {outdir / 'timeline.csv'}")
 
 
