@@ -355,11 +355,9 @@ def json_fields(records: Sequence, depth: int) -> list[str]:
     return text.split(close + encoder.item_separator + open_)
 
 
-# Run artefacts are written WRITE_CHUNK cases at a time, and timeline.csv
-# CSV_PAGE_ROWS rows at a time, so a writer holds one chunk's text, never a
-# whole document.
+# Run artefacts are written WRITE_CHUNK cases at a time, so a writer holds one
+# chunk's text, never a whole document.
 WRITE_CHUNK = 256
-CSV_PAGE_ROWS = 8192
 
 
 def in_chunks(cases: Sequence[CaseResult]) -> Iterator[Sequence[CaseResult]]:
@@ -545,66 +543,54 @@ class Timeline:
         alphabetical), then flow id, then time; times run from 0 up to but
         excluding the horizon.
         """
-        times = self._times
+        times = self._sample_times()
         return [
             (t, flow_id, rate, regime)
-            for first, stop, flow_id, rate, regime in self._blocks()
+            for first, stop, flow_id, rate, regime in self._blocks(times)
             for t in times[first:stop]
         ]
 
-    def to_csv(self, start: int = 0, stop: int | None = None) -> str:
-        """Rows ``start:stop`` of ``samples()`` (all of them by default) as
-        CSV with a header, in the same row order.
+    def to_csv(self) -> str:
+        """``samples()`` as CSV with a header, in the same row order.
 
-        Each page of rows is a whole CSV document, which ``write_csv``
-        streams into a file. Times and rates are written as
-        ``repr(float(...))``. Each sample time is formatted once per
-        timeline, and each segment's rate once per flow of the page.
+        Times and rates are written as ``repr(float(...))``. Each sample
+        time is formatted once, and each segment's rate once per flow.
         """
-        stamps = self._stamps
+        return "".join(self._csv_blocks())
+
+    def write_csv(self, file: TextIO) -> None:
+        """Write ``to_csv()`` into ``file`` one block of rows at a time."""
+        file.writelines(self._csv_blocks())
+
+    def _csv_blocks(self) -> Iterator[str]:
+        """The CSV header, then the text of each of ``_blocks`` in row order."""
+        times = self._sample_times()
+        stamps = [repr(float(t)) for t in times]
         row = io.StringIO()
         writer = csv.writer(row, lineterminator="\n")
         writer.writerow(["time", "flow", "rate", "regime"])
-        lines = [row.getvalue()]
-        for first, end, flow_id, rate, regime in self._blocks(start, stop):
+        yield row.getvalue()
+        for first, stop, flow_id, rate, regime in self._blocks(times):
             # A block's rows differ only in the time, which never needs quoting.
             row.seek(0)
             row.truncate()
             writer.writerow(("", flow_id, repr(float(rate)), regime))
             tail = row.getvalue()
-            lines.append("".join([stamp + tail for stamp in stamps[first:end]]))
-        return "".join(lines)
+            yield "".join([stamp + tail for stamp in stamps[first:stop]])
 
-    def write_csv(self, file: TextIO) -> None:
-        """Write ``to_csv()`` into ``file``, ``CSV_PAGE_ROWS`` rows at a time."""
-        rows = sum(len(flows) * size for _, flows, _, size in self._groups())
-        for start in range(0, max(rows, 1), CSV_PAGE_ROWS):
-            page = self.to_csv(start, start + CSV_PAGE_ROWS)
-            file.write(page if start == 0 else page.partition("\n")[2])
-
-    @functools.cached_property
-    def _times(self) -> list[Fraction]:
-        """The sample times, computed once."""
+    def _sample_times(self) -> list[Fraction]:
         times, t = [], Fraction(0)
         while t < self.horizon:
             times.append(t)
             t += self.sample_step
         return times
 
-    @functools.cached_property
-    def _stamps(self) -> list[str]:
-        """Each sample time as CSV text, ``repr(float(t))``, formatted once."""
-        return [repr(float(t)) for t in self._times]
+    def _blocks(self, times: list[Fraction]):
+        """(first, stop, flow, rate, regime): ``times[first:stop]`` share a rate.
 
-    def _groups(self):
-        """(regime, flows, runs, size) for each regime, in row order.
-
-        Every flow of the regime has one row per time of ``times[:size]``,
-        and ``runs`` cuts that range into (first, stop, rates) pieces that
-        share a rate. Segments are contiguous from 0, so one forward pass
-        maps each sample time to its segment.
+        Yielded in row order. Segments are contiguous from 0, so one
+        forward pass maps each sample time to its segment.
         """
-        times = self._times
         for regime in REGIMES:
             segs = self.segments[regime]
             runs, first = [], 0
@@ -613,28 +599,9 @@ class Timeline:
                 if stop > first:
                     runs.append((first, stop, seg.rates))
                 first = stop
-            yield regime, sorted(segs[0].rates), runs, first
-
-    def _blocks(self, start: int = 0, stop: int | None = None):
-        """(first, stop, flow, rate, regime) for rows ``start:stop`` of
-        ``samples()``, in row order: ``times[first:stop]`` share a rate.
-
-        Flows whose rows all precede ``start`` are skipped without a visit.
-        """
-        base = 0  # the row where the current flow's rows begin
-        for regime, flows, runs, size in self._groups():
-            if not size:
-                continue
-            skip = max(0, min(len(flows), (start - base) // size))
-            base += skip * size
-            for flow_id in flows[skip:]:
-                if stop is not None and base >= stop:
-                    return
-                lo, hi = start - base, size if stop is None else stop - base
-                for first, end, rates in runs:
-                    if max(first, lo) < min(end, hi):
-                        yield max(first, lo), min(end, hi), flow_id, rates[flow_id], regime
-                base += size
+            for flow_id in sorted(segs[0].rates):
+                for first, stop, rates in runs:
+                    yield first, stop, flow_id, rates[flow_id], regime
 
 
 def path_edges(path: Sequence[str]) -> tuple[tuple[str, str], ...]:

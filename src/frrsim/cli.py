@@ -320,9 +320,10 @@ def _artefacts(outdir: Path, *names: str):
     Each is written to a sibling ``name.tmp`` and renamed over ``name`` at
     the end, in the order given, so no artefact is ever half written: an
     exception removes every temporary left, and an ``OSError`` is reported
-    by path. Each file is replaced atomically, not the set: if a rename
-    fails, the files renamed before it already hold this output, so the
-    name that marks a complete set goes last.
+    by the artefact it hit (by ``outdir`` if it names no file). Each file
+    is replaced atomically, not the set: if a rename fails, the files
+    renamed before it already hold this output, so the name that marks a
+    complete set goes last.
     """
     temps = [outdir / f"{name}.tmp" for name in names]
     try:
@@ -334,8 +335,10 @@ def _artefacts(outdir: Path, *names: str):
         for temp in temps:
             temp.unlink(missing_ok=True)
         if isinstance(exc, OSError):
-            raise click.ClickException(
-                f"cannot write {exc.filename or outdir}: {exc.strerror or exc}") from None
+            # open and os.replace name the temporary; report its artefact
+            artefact = {str(temp): outdir / name for temp, name in zip(temps, names)}
+            path = artefact.get(exc.filename, exc.filename) or outdir
+            raise click.ClickException(f"cannot write {path}: {exc.strerror or exc}") from None
         raise
 
 
@@ -429,7 +432,8 @@ def cmd_verify(config_path: str, fail: str | None, scheme: str | None,
     outdir, report = _load_and_sweep(config_path, fail, scheme, output_dir)
     summary = report.summary_dict()
     payload = json.dumps(summary, indent=2, sort_keys=True) + "\n"
-    (outdir / "verify.json").write_text(payload, encoding="utf-8")
+    with _artefacts(outdir, "verify.json") as (file,):
+        file.write(payload)
     click.echo(payload, nl=False)
     if report.total_violations:
         sys.exit(1)
@@ -495,9 +499,9 @@ def cmd_generate(descriptor: str, output_path: str):
         spec = json.loads(descriptor) if descriptor.strip().startswith("{") else descriptor
     with _named("", click.ClickException):
         topology = build_topology(spec)
-    Path(output_path).write_text(
-        json.dumps(topology.to_dict(), indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    path = Path(output_path)
+    with _artefacts(path.parent, path.name) as (file,):
+        file.write(json.dumps(topology.to_dict(), indent=2, sort_keys=True) + "\n")
     click.echo(
         f"wrote {output_path}: {len(topology.nodes)} nodes, {len(topology.links)} links, "
         f"edge connectivity {edge_connectivity(topology)}"

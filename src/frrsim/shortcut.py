@@ -153,10 +153,7 @@ def observe_and_truncate(
     trace: Trace,
 ) -> list[RuleChange]:
     """Standard suffix truncation from one probe trace (mutates the state)."""
-    if state.mode != MODE_SUFFIX:
-        raise ValueError("suffix-mode state required")
-    trace = _replay(state, topology, failures, trace)
-    return _shortcut_step(state, topology, failures, trace)
+    return _checked_step(MODE_SUFFIX, state, topology, failures, trace)
 
 
 def partition_shortcut(
@@ -178,8 +175,15 @@ def greedy_shortcut(
     trace: Trace,
 ) -> list[RuleChange]:
     """Greedy adaptation: pin observed bounce-backs, truncate the global order."""
-    if state.mode != MODE_GREEDY:
-        raise ValueError("greedy-mode state required")
+    return _checked_step(MODE_GREEDY, state, topology, failures, trace)
+
+
+def _checked_step(
+    mode: str, state: ForwardingState, topology: Topology, failures: FailureSet, trace: Trace
+) -> list[RuleChange]:
+    """``_shortcut_step`` on a ``mode`` state, once ``trace`` replays against it."""
+    if state.mode != mode:
+        raise ValueError(f"{mode}-mode state required")
     trace = _replay(state, topology, failures, trace)
     return _shortcut_step(state, topology, failures, trace)
 

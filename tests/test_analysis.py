@@ -899,20 +899,6 @@ class TestTimeline:
         assert lines[0] == "time,flow,rate,regime"
         # 3 regimes x 2 flows x 8 samples
         assert len(lines) == 1 + 3 * 2 * 8
-
-    @pytest.mark.parametrize("page", [1, 5, 8, 16, 1000])
-    def test_pages_are_slices_of_the_csv(self, figure1, figure1_flow, figure1_state,
-                                         s2s4_failure, page, monkeypatch):
-        plans = figure1_plans(figure1, figure1_flow, figure1_state, s2s4_failure)
-        tl = convergence_timeline(
-            plans, unit_capacities(figure1),
-            failure_effective=2.0, control_plane_delay=2.0, shortcut_delay=0.2,
-            sample_step=0.5, horizon=4.0,
-        )
-        header, *rows = tl.to_csv().splitlines(keepends=True)
-        for start in range(len(rows) + 2):
-            assert tl.to_csv(start, start + page) == header + "".join(rows[start:start + page])
-        monkeypatch.setattr(analysis, "CSV_PAGE_ROWS", page)
         buf = io.StringIO()
         tl.write_csv(buf)
         assert buf.getvalue() == tl.to_csv()

@@ -212,6 +212,18 @@ class TestRunCommand:
         assert len(encoded) == 20
         assert list(outdir.iterdir()) == []
 
+    @pytest.mark.parametrize("command,name", [("run", "report.csv"), ("verify", "verify.json"),
+                                              ("timeline", "timeline.csv")])
+    def test_directory_on_an_artefact_is_named(self, runner, figure1_config_path, tmp_path,
+                                               command, name):
+        outdir = tmp_path / "out"
+        (outdir / name).mkdir(parents=True)
+        result = runner.invoke(main, [command, figure1_config_path, "--output-dir", str(outdir)])
+        assert result.exit_code == 1, result.output
+        assert f"Error: cannot write {outdir / name}: Is a directory" in result.output
+        assert isinstance(result.exception, SystemExit)
+        assert not list(outdir.glob("*.tmp"))
+
     def test_bad_config_is_a_clean_error(self, runner, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{")
@@ -591,6 +603,13 @@ class TestGenerateCommand:
         result = runner.invoke(main, ["generate", "--topology", descriptor, "--output", str(out)])
         assert result.exit_code == 1, result.output
         assert "Error: cannot read topology file" in result.output
+
+    def test_missing_output_directory_is_a_clean_error(self, runner, tmp_path):
+        out = tmp_path / "missing_dir" / "x.json"
+        result = runner.invoke(main, ["generate", "--topology", "torus(3,3)", "--output", str(out)])
+        assert result.exit_code == 1, result.output
+        assert f"Error: cannot write {out}: No such file or directory" in result.output
+        assert isinstance(result.exception, SystemExit)
 
     def test_generated_file_feeds_from_file(self, runner, tmp_path):
         out = tmp_path / "topo.json"

@@ -120,7 +120,7 @@ class TestObserveAndTruncate:
     def test_greedy_state_is_rejected(self, figure1, figure1_flow, s2s4_failure):
         state = compile_greedy_frr(figure1, figure1_flow)
         trace = route(state, figure1, s2s4_failure, figure1_flow)
-        with pytest.raises(ValueError, match="suffix"):
+        with pytest.raises(ValueError, match="^suffix-mode state required$"):
             observe_and_truncate(state, figure1, s2s4_failure, trace)
 
     def test_foreign_trace_is_rejected(self, figure1_state, figure1, figure1_flow, s2s4_failure):
@@ -335,7 +335,7 @@ class TestPartitionShortcut:
         (arb,) = decompose_arborescences(figure1, "D", 1)
         state = compile_arborescence_frr(figure1, [arb], figure1_flow)
         trace = route(state, figure1, s2s4_failure, figure1_flow)
-        with pytest.raises(ValueError, match="tagged"):
+        with pytest.raises(ValueError, match="^partition-tagged state required$"):
             partition_shortcut(state, figure1, s2s4_failure, trace)
 
 
@@ -365,7 +365,7 @@ class TestGreedyShortcut:
 
     def test_suffix_state_is_rejected(self, figure1_state, figure1, figure1_flow, s2s4_failure):
         trace = route(figure1_state, figure1, s2s4_failure, figure1_flow)
-        with pytest.raises(ValueError, match="greedy"):
+        with pytest.raises(ValueError, match="^greedy-mode state required$"):
             greedy_shortcut(figure1_state, figure1, s2s4_failure, trace)
 
     def test_trace_under_other_failures_does_not_replay(
