@@ -115,7 +115,7 @@ class ScenarioConfig:
             raise ConfigError("output_dir must be a string")
         throughput = data.get("throughput")
         return cls(topology, flows, *_scheme(data["scheme"], topology, flows),
-                   _failures(data["failures"], topology), data.get("output_dir"),
+                   _failures(data["failures"], topology, flows), data.get("output_dir"),
                    *((None,) * 3 if throughput is None
                      else _throughput(throughput, topology, flows)))
 
@@ -178,6 +178,8 @@ def _scheme(raw, topology: Topology, flows: tuple[Flow, ...]):
         raise ConfigError("partition scheme needs k or explicit paths")
     if k is not None and (isinstance(k, bool) or not isinstance(k, int) or k < 1):
         raise ConfigError(f"scheme.k must be a positive integer, got {k!r}")
+    if kind == "arborescence" and k > (lam := edge_connectivity(topology)):
+        raise ConfigError(f"scheme.k={k} exceeds the topology's edge connectivity {lam}")
     if paths is None:
         return kind, k, None
     if not isinstance(paths, (list, tuple)):
@@ -192,7 +194,8 @@ def _scheme(raw, topology: Topology, flows: tuple[Flow, ...]):
     return kind, k, paths
 
 
-def _failures(raw, topology: Topology) -> FailureSet | str:
+def _failures(raw, topology: Topology, flows: tuple[Flow, ...]) -> FailureSet | str:
+    """The explicit failure set, which fails no flow endpoint, or the sweep kind."""
     raw = _object(raw, "failures", FAILURE_FIELDS)
     if raw["kind"] != "explicit":
         return raw["kind"]
@@ -204,6 +207,11 @@ def _failures(raw, topology: Topology) -> FailureSet | str:
             raise ConfigError(f"failures.links[{i}] must be a pair of node names")
     if not _is_name_list(nodes):
         raise ConfigError("failures.nodes must be a list of node names")
+    for i, node in enumerate(nodes):
+        for j, flow in enumerate(flows):
+            if node in (flow.source, flow.destination):
+                raise ConfigError(f"failures.nodes[{i}] {node!r} is an endpoint "
+                                  f"of flows[{j}] {flow.flow_id!r}")
     failures = FailureSet.of(links=[tuple(l) for l in links], nodes=nodes)
     with _named("failures: "):
         failures.validate(topology)

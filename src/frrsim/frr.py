@@ -333,74 +333,44 @@ def compile_partition_frr(
     along P_i until the node where P_{i+1} diverges (the source, for fully
     disjoint paths), which emits it on P_{i+1}. Every rule is a contiguous
     priority-list tail and carries its partition index as a tag.
+
+    One pass over the paths lays out each node's list: on P_i it lists P_i's
+    next hop, then P_i's previous hop unless it is P_i's source or P_{i+1}
+    shares P_i's prefix up to it. A packet arriving along P_i starts at P_i's
+    next-hop entry. One coming back along P_i starts one entry past it: P_i's
+    previous hop, or at a divergence point P_{i+1}'s next hop (laid out right
+    after, as P_{i+1} reaches the node next), or on the last path at the
+    source past the end, which drops it. Where paths share an inport the
+    lowest i wins, so a packet on a shared stretch follows the first path
+    it could be on. No inport is both: paths share a link only on a common
+    prefix or suffix, where they all cross it the same way.
     """
     if (flow.source, flow.destination) != (scheme.flow.source, scheme.flow.destination):
         raise ValueError("scheme was built for a different flow")
     scheme.validate(topology)
     paths = scheme.paths
-    k = len(paths)
-    pos: list[dict[str, int]] = [{v: i for i, v in enumerate(p)} for p in paths]
-
-    # Entry layout per node: per partition a forward entry, then (unless this
-    # node is where the next path's identical prefix ends) a backward entry.
     entry_out: dict[str, list[str]] = {v: [] for v in topology.nodes}
     entry_tag: dict[str, list[int]] = {v: [] for v in topology.nodes}
-    entry_idx: dict[str, dict[tuple[int, str], int]] = {v: {} for v in topology.nodes}
-
-    def _add(v: str, out: str, part: int, role: str) -> None:
-        entry_out[v].append(out)
-        entry_tag[v].append(part)
-        entry_idx[v][(part, role)] = len(entry_out[v])
-
+    inport_start: dict[tuple[str, str], int] = {}  # (node, inport) -> first entry
     for i, path in enumerate(paths, start=1):
-        for p in range(len(path) - 1):
-            v = path[p]
-            _add(v, path[p + 1], i, "fwd")
+        for p, v in enumerate(path[:-1]):
+            entry_out[v].append(path[p + 1])
+            entry_tag[v].append(i)
+            here = len(entry_out[v])
+            inport_start.setdefault((v, path[p + 1]), here + 1)
             if p > 0:
-                switch_here = i < k and paths[i][: p + 1] == path[: p + 1]
-                if not switch_here:
-                    _add(v, path[p - 1], i, "back")
+                inport_start.setdefault((v, path[p - 1]), here)
+                if i == len(paths) or paths[i][: p + 1] != path[: p + 1]:
+                    entry_out[v].append(path[p - 1])
+                    entry_tag[v].append(i)
 
     tables: dict[str, PortTable] = {}
     for v in topology.nodes:
-        prio = entry_out[v]
         starts: dict[str | None, int] = {None: 1}
         for u in topology.neighbors(v):
-            starts[u] = _partition_inport_start(v, u, paths, pos, entry_idx[v], k)
-        tables[v] = PortTable(prio, starts, partition_tag=entry_tag[v] or None)
+            starts[u] = inport_start.get((v, u), 1)
+        tables[v] = PortTable(entry_out[v], starts, partition_tag=entry_tag[v] or None)
     return ForwardingState(flow, MODE_SUFFIX, tables)
-
-
-def _partition_inport_start(
-    v: str,
-    u: str,
-    paths: tuple[tuple[str, ...], ...],
-    pos: list[dict[str, int]],
-    idx: dict[tuple[int, str], int],
-    k: int,
-) -> int:
-    fwd: list[int] = []
-    back: list[int] = []
-    for i, path in enumerate(paths, start=1):
-        p = pos[i - 1].get(v)
-        if p is None or p == len(path) - 1:
-            continue
-        if p > 0 and path[p - 1] == u:
-            fwd.append(i)
-        if path[p + 1] == u:
-            back.append(i)
-    if fwd:
-        return idx[(min(fwd), "fwd")]
-    if back:
-        i = min(back)
-        if (i, "back") in idx:
-            return idx[(i, "back")]
-        if i < k and (i + 1, "fwd") in idx:
-            # Backward arrival at the divergence point: jump to the next path.
-            return idx[(i + 1, "fwd")]
-        # Backward arrival on the last path at the source: nothing left, drop.
-        return len(idx) + 1
-    return 1
 
 
 # ---------------------------------------------------------------------------

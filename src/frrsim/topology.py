@@ -428,14 +428,28 @@ def _random(n: int, p: float, seed: int, min_edge_connectivity: int = 1,
 
 
 def build_topology(spec) -> Topology:
-    """Build a topology from a generator descriptor (dict or compact string)."""
+    """Build a topology from a generator descriptor (dict or compact string).
+
+    A descriptor holds its ``kind`` and the fields that kind takes, no others;
+    ``min_edge_connectivity`` (of ``random``, default 1) is the one optional field.
+    """
     d = _parse_descriptor(spec)
     kind = d["kind"]
+    kinds = {"figure1": (figure1_topology, ()), "complete": (_complete, ("n",)),
+             "torus": (_torus, ("a", "b")), "hypercube": (_hypercube, ("d",)),
+             "random": (_random, ("n", "p", "seed", "min_edge_connectivity")),
+             "from_file": (Topology.from_file, ("path",))}
+    if not isinstance(kind, str) or kind not in kinds:
+        raise ValueError(f"unknown topology kind {kind!r}")
+    build, fields = kinds[kind]
+    unknown = sorted(set(d) - {"kind", *fields})
+    if unknown:
+        raise ValueError(f"unknown topology fields: {unknown}")
 
-    def arg(key: str, cast=int):
+    def arg(key: str):
         if key not in d:
             raise ValueError(f"topology descriptor {d!r} is missing {key!r}")
-        value = d[key]
+        value, cast = d[key], {"p": float, "path": str}.get(key, int)
         try:
             # int() would truncate a fraction; int() and float() read a
             # boolean as 0 or 1
@@ -447,17 +461,5 @@ def build_topology(spec) -> Topology:
             what = "an integer" if cast is int else "a number"
             raise ValueError(f"topology.{key} must be {what}, got {value!r}") from None
 
-    if kind == "figure1":
-        return figure1_topology()
-    if kind == "complete":
-        return _complete(arg("n"))
-    if kind == "torus":
-        return _torus(arg("a"), arg("b"))
-    if kind == "hypercube":
-        return _hypercube(arg("d"))
-    if kind == "random":
-        return _random(arg("n"), arg("p", float), arg("seed"),
-                       arg("min_edge_connectivity") if "min_edge_connectivity" in d else 1)
-    if kind == "from_file":
-        return Topology.from_file(arg("path", str))
-    raise ValueError(f"unknown topology kind {kind!r}")
+    return build(**{key: arg(key) for key in fields
+                    if key in d or key != "min_edge_connectivity"})

@@ -251,6 +251,8 @@ class TestRunCommand:
              "topology.d must be an integer, got True"),
             ("topology", {"kind": "random", "n": 6, "p": True, "seed": 1},
              "topology.p must be a number, got True"),
+            ("topology", {"kind": "torus", "a": 3, "b": 3, "c": 9},
+             "unknown topology fields: ['c']"),
             ("flows", [{"source": "S", "destination": "D"}] * 2,
              "flows[1] repeats flow id 'S->D'"),
             ("flows", [{"source": "S", "destination": "D", "weight": 2}],
@@ -261,7 +263,7 @@ class TestRunCommand:
         ids=["flows-number", "flows-entry-list", "topology-string", "throughput-number",
              "throughput-zero", "throughput-false", "throughput-empty-string",
              "throughput-empty-list", "output-dir-number", "topology-int-word",
-             "topology-fraction", "topology-bool", "topology-bool-p",
+             "topology-fraction", "topology-bool", "topology-bool-p", "topology-unknown-key",
              "flows-duplicate", "flows-unknown-key", "paths-miss-a-flow"],
     )
     def test_wrong_shape_names_the_field(self, runner, tmp_path, field, value, message):
@@ -338,6 +340,41 @@ class TestRunCommand:
             result = runner.invoke(main, [command, path, "--output-dir", str(tmp_path)])
             assert result.exit_code == 1, result.output
             assert f"Error: {message}" in result.output
+
+    @pytest.mark.parametrize("command", ["run", "verify", "timeline"])
+    @pytest.mark.parametrize("nodes,message", [
+        (["S"], "failures.nodes[0] 'S' is an endpoint of flows[0] 'S->D'"),
+        (["S3", "D"], "failures.nodes[1] 'D' is an endpoint of flows[0] 'S->D'"),
+    ], ids=["source", "destination"])
+    def test_failed_flow_endpoint_names_the_field(self, runner, tmp_path, command, nodes,
+                                                  message):
+        cfg = figure1_config()
+        cfg["failures"]["nodes"] = nodes
+        outdir = tmp_path / "out"
+        path = write_config(tmp_path, "endpoint.json", cfg)
+        result = runner.invoke(main, [command, path, "--output-dir", str(outdir)])
+        assert result.exit_code == 1, result.output
+        assert f"Error: {message}" in result.output
+        assert not outdir.exists()
+
+    @pytest.mark.parametrize("command", ["run", "verify"])
+    def test_fail_override_of_a_flow_endpoint_names_the_field(self, runner, figure1_config_path,
+                                                              tmp_path, command):
+        outdir = tmp_path / "out"
+        result = runner.invoke(main, [command, figure1_config_path, "--fail", "node:S",
+                                      "--output-dir", str(outdir)])
+        assert result.exit_code == 1, result.output
+        assert "Error: failures.nodes[0] 'S' is an endpoint of flows[0] 'S->D'" in result.output
+        assert not outdir.exists()
+
+    def test_arborescence_k_beyond_edge_connectivity_names_the_field(self, runner, tmp_path):
+        bundled = Path(__file__).resolve().parents[1] / "scenarios" / "torus_sweep.json"
+        outdir = tmp_path / "newdir"
+        result = runner.invoke(main, ["run", str(bundled), "--scheme", "arborescence:5",
+                                      "--output-dir", str(outdir)])
+        assert result.exit_code == 1, result.output
+        assert "Error: scheme.k=5 exceeds the topology's edge connectivity 4" in result.output
+        assert not outdir.exists()
 
     def test_scheme_override_with_bad_k_names_the_field(self, runner, figure1_config_path,
                                                          tmp_path):
@@ -596,6 +633,14 @@ class TestGenerateCommand:
         )
         result = runner.invoke(main, ["generate", "--topology", descriptor, "--output", str(out)])
         assert result.exit_code == 0, result.output
+
+    def test_unknown_descriptor_field_is_named(self, runner, tmp_path):
+        out = tmp_path / "topo.json"
+        descriptor = json.dumps({"kind": "torus", "a": 3, "b": 3, "c": 9})
+        result = runner.invoke(main, ["generate", "--topology", descriptor, "--output", str(out)])
+        assert result.exit_code == 1, result.output
+        assert "Error: unknown topology fields: ['c']" in result.output
+        assert not out.exists()
 
     def test_missing_from_file_is_a_clean_error(self, runner, tmp_path):
         descriptor = json.dumps({"kind": "from_file", "path": str(tmp_path / "missing.json")})

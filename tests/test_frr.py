@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import random
 
 import pytest
 
@@ -25,6 +26,7 @@ from frrsim import (
     shortest_path_length,
 )
 from frrsim.analysis import enumerate_link_failures
+from frrsim.forwarding import MODE_SUFFIX, ForwardingState, PortTable
 from frrsim.frr import PartitionScheme, validate_disjoint
 from frrsim.scenarios import FIGURE1_PATHS
 
@@ -284,6 +286,11 @@ class TestPartitionCompile:
         trace = route(state, figure1, s2s4_failure, figure1_flow)
         assert trace.path_string() == "S-S1-S2-S1-S3-S4-D"
 
+    def test_scheme_for_another_flow_is_rejected(self, square):
+        scheme = compute_disjoint_paths(square, Flow("a", "c"), 2)
+        with pytest.raises(ValueError, match="scheme was built for a different flow"):
+            compile_partition_frr(square, scheme, Flow("c", "a"))
+
     def test_figure1_paths_need_the_relaxed_check(self, figure1, figure1_flow):
         strict = PartitionScheme(flow=figure1_flow, paths=FIGURE1_PATHS)
         with pytest.raises(ValueError, match="share links"):
@@ -353,6 +360,137 @@ class TestPartitionCompile:
         )
         with pytest.raises(ValueError, match="mid-route"):
             bad.validate(t)
+
+
+def reference_compile_partition_frr(topology, scheme, flow):
+    """The partition compiler as it stood before the one-pass layout, verbatim
+    but for the names: the oracle the one-pass compiler must match."""
+    if (flow.source, flow.destination) != (scheme.flow.source, scheme.flow.destination):
+        raise ValueError("scheme was built for a different flow")
+    scheme.validate(topology)
+    paths = scheme.paths
+    k = len(paths)
+    pos: list[dict[str, int]] = [{v: i for i, v in enumerate(p)} for p in paths]
+
+    # Entry layout per node: per partition a forward entry, then (unless this
+    # node is where the next path's identical prefix ends) a backward entry.
+    entry_out: dict[str, list[str]] = {v: [] for v in topology.nodes}
+    entry_tag: dict[str, list[int]] = {v: [] for v in topology.nodes}
+    entry_idx: dict[str, dict[tuple[int, str], int]] = {v: {} for v in topology.nodes}
+
+    def _add(v: str, out: str, part: int, role: str) -> None:
+        entry_out[v].append(out)
+        entry_tag[v].append(part)
+        entry_idx[v][(part, role)] = len(entry_out[v])
+
+    for i, path in enumerate(paths, start=1):
+        for p in range(len(path) - 1):
+            v = path[p]
+            _add(v, path[p + 1], i, "fwd")
+            if p > 0:
+                switch_here = i < k and paths[i][: p + 1] == path[: p + 1]
+                if not switch_here:
+                    _add(v, path[p - 1], i, "back")
+
+    tables: dict[str, PortTable] = {}
+    for v in topology.nodes:
+        prio = entry_out[v]
+        starts: dict[str | None, int] = {None: 1}
+        for u in topology.neighbors(v):
+            starts[u] = reference_partition_inport_start(v, u, paths, pos, entry_idx[v], k)
+        tables[v] = PortTable(prio, starts, partition_tag=entry_tag[v] or None)
+    return ForwardingState(flow, MODE_SUFFIX, tables)
+
+
+def reference_partition_inport_start(
+    v: str,
+    u: str,
+    paths: tuple[tuple[str, ...], ...],
+    pos: list[dict[str, int]],
+    idx: dict[tuple[int, str], int],
+    k: int,
+) -> int:
+    fwd: list[int] = []
+    back: list[int] = []
+    for i, path in enumerate(paths, start=1):
+        p = pos[i - 1].get(v)
+        if p is None or p == len(path) - 1:
+            continue
+        if p > 0 and path[p - 1] == u:
+            fwd.append(i)
+        if path[p + 1] == u:
+            back.append(i)
+    if fwd:
+        return idx[(min(fwd), "fwd")]
+    if back:
+        i = min(back)
+        if (i, "back") in idx:
+            return idx[(i, "back")]
+        if i < k and (i + 1, "fwd") in idx:
+            # Backward arrival at the divergence point: jump to the next path.
+            return idx[(i + 1, "fwd")]
+        # Backward arrival on the last path at the source: nothing left, drop.
+        return len(idx) + 1
+    return 1
+
+
+def random_relaxed_path_sets(topology, rng, tries):
+    """Path sets that pass the relaxed check, each path after the first
+    branching off a prefix of an earlier one, so that they share stubs."""
+    nodes = topology.nodes
+    for _ in range(tries):
+        source, destination = rng.sample(nodes, 2)
+        paths = []
+        for _ in range(rng.randint(1, 4)):
+            stem = rng.choice(paths) if paths else (source,)
+            path = list(stem[: rng.randint(1, max(1, len(stem) - 1))])
+            while path[-1] != destination:
+                options = [w for w in topology.neighbors(path[-1]) if w not in path]
+                if not options:
+                    break
+                path.append(rng.choice(options))
+            if path[-1] == destination and tuple(path) not in paths:
+                paths.append(tuple(path))
+        scheme = PartitionScheme(flow=Flow(source, destination), paths=tuple(paths), relaxed=True)
+        try:
+            scheme.validate(topology)
+        except ValueError:
+            continue
+        yield scheme
+
+
+class TestPartitionCompileMatchesReference:
+    """The one-pass compiler builds the same tables as the reference."""
+
+    @staticmethod
+    def assert_same_tables(topology, scheme):
+        flow = scheme.flow
+        assert (compile_partition_frr(topology, scheme, flow).to_json_dict()
+                == reference_compile_partition_frr(topology, scheme, flow).to_json_dict()), (
+            scheme.paths)
+
+    @pytest.mark.parametrize("desc", [
+        "complete(5)", "torus(3,3)", "torus(4,4)", "hypercube(3)",
+        {"kind": "random", "n": 9, "p": 0.5, "seed": 7, "min_edge_connectivity": 3},
+    ])
+    def test_strict_schemes_every_pair_and_k(self, desc):
+        t = build_topology(desc)
+        for a, b in itertools.permutations(t.nodes, 2):
+            for k in range(1, edge_connectivity(t) + 1):
+                self.assert_same_tables(t, compute_disjoint_paths(t, Flow(a, b), k))
+
+    def test_figure1_paths(self, figure1, figure1_flow):
+        self.assert_same_tables(
+            figure1, PartitionScheme(flow=figure1_flow, paths=FIGURE1_PATHS, relaxed=True))
+
+    @pytest.mark.parametrize("desc", ["complete(5)", "torus(3,3)", "hypercube(3)", "figure1"])
+    def test_random_relaxed_path_sets(self, desc):
+        t = build_topology(desc)
+        schemes = list(random_relaxed_path_sets(t, random.Random(desc), 400))
+        # enough of them branch off a shared stub to reach a divergence point
+        assert sum(len(s.paths) > 1 and s.paths[0][1] == s.paths[1][1] for s in schemes) >= 10
+        for scheme in schemes:
+            self.assert_same_tables(t, scheme)
 
 
 class TestGreedy:

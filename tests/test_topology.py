@@ -76,7 +76,8 @@ class TestGenerators:
 
     @pytest.mark.parametrize(
         "bad",
-        ["complete(2)", "torus(2,3)", "hypercube(1)", "nosuch(3)", {"kind": "nope"}],
+        ["complete(2)", "torus(2,3)", "hypercube(1)", "nosuch(3)", {"kind": "nope"},
+         {"kind": "figure1", "n": 3}],
     )
     def test_malformed_descriptors(self, bad):
         with pytest.raises(ValueError):
