@@ -3,9 +3,9 @@
 The sweep engine enumerates failures, runs the shortcut fixpoint for every
 (flow, failure) case, and checks the guarantees the mechanism promises: the
 final route is delivered, is a simple path, uses only directed edges of the
-initial reroute walk, and (for single link failures) needed exactly one
-truncating round when the initial walk looped. Violations are data in the
-report, never exceptions.
+initial reroute walk, and (when the set fails one link and no node) needed
+exactly one truncating round when the initial walk looped. Violations are
+data in the report, never exceptions.
 
 Throughput is modelled as fluid max-min fairness over per-direction unit
 link capacities; the timeline stitches piecewise-constant rate segments for
@@ -153,6 +153,12 @@ class SweepReport:
         }
 
 
+def _promises_one_round(failures: FailureSet) -> bool:
+    """Whether the one-round guarantee covers ``failures``: one link, no node
+    (a failed node takes all its links down and may cost a no-op round)."""
+    return len(failures.failed_links) == 1 and not failures.failed_nodes
+
+
 def _check_case(case: CaseResult, fp: FixpointResult, check_rounds: bool) -> None:
     initial = fp.initial_trace
     final = fp.final_trace
@@ -207,19 +213,26 @@ def run_failure_sweep(
     excluded from the guarantee checks; an exception is recorded as the
     case's verdict.
 
+    With ``check_rounds`` (the default), a case whose set fails exactly one
+    link and no node is also held to the one-round guarantee: one truncating
+    round if its initial walk looped, none otherwise. Every other case has
+    ``rounds_as_expected`` None, and ``check_rounds=False`` checks no case.
+
     Each flow first runs, unreported, the case with nothing failed. If it
-    is delivered in 0 rounds, it is the template of every failure set that
-    fails no node and no link of its walk: such a case copies the
-    template's fields under its own label. This is exact because
+    is delivered in 0 rounds with no violation, it is the template of every
+    failure set that fails no node and no link of its walk: such a case
+    copies the template's fields under its own label. This is exact because
     shortcutting is local. With nothing failed, each hop took the first
     entry of its suffix (greedy state skips only the return edge, never a
     dead entry), and that entry is still live, so the walk is the same.
     Zero rounds means no inport saw an exit deeper than its start, which
     no failure can change, so no rule changes either. The copies share the
     template's ``FixpointResult`` object, so a ``CaseResult.fixpoint`` must
-    be treated as read-only. If the case with nothing failed raises,
-    loops, drops or needs a round, every case of the flow runs its own
-    fixpoint.
+    be treated as read-only. A copy's rounds check is its own set's: the
+    template did not loop (a looped walk left as it was is a violation) and
+    needed no round, so a checked copy needed the rounds expected. If the
+    case with nothing failed raises, drops, needs a round or violates a
+    guarantee, every case of the flow runs its own fixpoint.
 
     A copy keeps the template's stretch when it is 1.0, that is when the
     walk's hop count h is the failure-free distance: the walk survives, so
@@ -254,7 +267,7 @@ def run_failure_sweep(
                 case.verdict = "frr_failed"
                 case.hops_before = fp.initial_trace.hop_count
             else:
-                _check_case(case, fp, check_rounds)
+                _check_case(case, fp, check_rounds and _promises_one_round(failures))
                 optimal = distance(index, flow)
                 case.stretch_before = _over_optimal(fp.initial_trace, optimal)
                 if fp.delivered:
@@ -272,14 +285,14 @@ def run_failure_sweep(
         base = compile_state(flow)
         template = CaseResult(flow_id=flow.flow_id, failure="", verdict="")
         state = run_case(template, flow, FailureSet(), None, base.copy(), base)
-        reusable = template.verdict == "delivered" and not template.rounds
+        reusable = template.verdict == "delivered" and not (template.rounds or template.violations)
         if reusable:
             walk = template.fixpoint.final_trace
             path = walk.node_path()
             nodes = frozenset(path)
             links = frozenset(canon_link(u, v) for u, v in zip(path, path[1:]))
             fields = {name: value for name, value in vars(template).items()
-                      if name not in ("failure", "violations")}
+                      if name not in ("failure", "rounds_as_expected", "violations")}
         for index, failures in enumerate(failure_sets):
             if flow.source in failures.failed_nodes or (
                 flow.destination in failures.failed_nodes
@@ -288,8 +301,9 @@ def run_failure_sweep(
             if reusable and failures.failed_nodes.isdisjoint(nodes) and (
                 failures.failed_links.isdisjoint(links)
             ):
+                checked = check_rounds and _promises_one_round(failures)
                 case = CaseResult(**fields, failure=labels[index],
-                                  violations=list(template.violations))
+                                  rounds_as_expected=True if checked else None)
                 if template.stretch_before != 1.0:
                     case.stretch_before = case.stretch_after = _over_optimal(
                         walk, distance(index, flow))

@@ -293,7 +293,6 @@ def _load_and_sweep(config_path: str, fail: str | None, scheme: str | None,
     """Parse the config, make the output directory and run the failure sweep."""
     with _named("", click.ClickException):
         config = ScenarioConfig.load(config_path, fail, scheme)
-        outdir = _resolve_output_dir(config, output_dir)
         topology, flows, failures = config.topology, config.flows, config.failures
         if isinstance(failures, FailureSet):
             failure_sets = [failures]
@@ -302,10 +301,12 @@ def _load_and_sweep(config_path: str, fail: str | None, scheme: str | None,
         else:
             endpoints = {f.source for f in flows} | {f.destination for f in flows}
             failure_sets = analysis.enumerate_node_failures(topology, exclude=endpoints)
+            if not failure_sets:
+                raise ConfigError("failures.kind 'sweep_nodes' leaves no node to fail: "
+                                  "every node is a flow endpoint")
+        outdir = _resolve_output_dir(config, output_dir)
         return outdir, analysis.run_failure_sweep(
-            topology, SchemeCompiler(config).compile, flows, failure_sets,
-            check_rounds=failures != "sweep_nodes",
-        )
+            topology, SchemeCompiler(config).compile, flows, failure_sets)
 
 
 _AUDIT = json.JSONEncoder(sort_keys=True)

@@ -104,9 +104,7 @@ class TestSweep:
         t = build_topology("complete(4)")
         flow = Flow("0", "1")
         failures = enumerate_node_failures(t)
-        report = run_failure_sweep(
-            t, arborescence_compiler(t, 3), [flow], failures, check_rounds=False
-        )
+        report = run_failure_sweep(t, arborescence_compiler(t, 3), [flow], failures)
         assert {c.failure for c in report.cases} == {"node:2", "node:3"}
 
     def test_report_csv_schema(self, figure1, figure1_flow, figure1_state):
@@ -134,7 +132,7 @@ def all_pairs(topology, sources=None):
     return [Flow(a, b) for a in sources or topology.nodes for b in topology.nodes if a != b]
 
 
-def reference_cases(topology, compile_state, flows, failure_sets, check_rounds=True):
+def reference_cases(topology, compile_state, flows, failure_sets):
     """Each case alone: a fresh compile and fixpoint, checked without the sweep."""
     out = []
     for flow in flows:
@@ -147,7 +145,7 @@ def reference_cases(topology, compile_state, flows, failure_sets, check_rounds=T
                 case.verdict = "frr_failed"
                 case.hops_before = fp.initial_trace.hop_count
             else:
-                analysis._check_case(case, fp, check_rounds)
+                analysis._check_case(case, fp, analysis._promises_one_round(failures))
                 case.stretch_before = stretch(fp.initial_trace, topology, failures, flow)
                 if fp.delivered:
                     case.stretch_after = stretch(fp.final_trace, topology, failures, flow)
@@ -161,6 +159,23 @@ def assert_matches_reference(report, reference):
         assert case == ref_case
         assert case.fixpoint.traces == ref_fp.traces
         assert case.fixpoint.changes_per_round == ref_fp.changes_per_round
+
+
+class TestNodeSetsSkipRounds:
+    """A failed node is not held to the one-round count of one failed link."""
+
+    def test_no_op_round_after_a_node_failure_is_no_violation(self):
+        t = Topology(["0", "1", "2", "3", "4", "F"], [
+            ("0", "F"), ("F", "1"), ("F", "2"), ("1", "2"), ("2", "3"), ("3", "4"), ("4", "0")])
+        flow = Flow("1", "0")
+        (case,) = run_failure_sweep(
+            t, SCHEME_COMPILERS["greedy"](t), [flow], [FailureSet.of(nodes=["F"])]
+        ).cases
+        # 1-2-3-4-0 is delivered and simple, but node 2 still sees the live
+        # entry 1 ahead of its exit 3 and moves its start: one round, no loop.
+        assert case.fixpoint.initial_trace.node_path() == ("1", "2", "3", "4", "0")
+        assert (case.rounds, case.hops_before, case.hops_after) == (1, 4, 4)
+        assert case.violations == [] and case.rounds_as_expected is None
 
 
 class TestSweepUndo:
@@ -307,20 +322,25 @@ class TestFailureFreeReuse:
 
     @pytest.mark.parametrize("desc", ["torus(3,3)", "hypercube(3)"])
     @pytest.mark.parametrize("scheme", ["arborescence", "partition", "greedy"])
-    @pytest.mark.parametrize("kind", ["links", "nodes"])
+    @pytest.mark.parametrize("kind", ["links", "nodes", "mixed"])
     def test_sweep_matches_fresh_fixpoint_per_case(self, desc, scheme, kind):
         t = build_topology(desc)
         compile_state = SCHEME_COMPILERS[scheme](t)
         flows = all_pairs(t)
-        if kind == "links":
-            a, b, c = t.nodes[0], *t.neighbors(t.nodes[0])[:2]
-            failure_sets = enumerate_link_failures(t) + [FailureSet.of(links=[(a, b), (a, c)])]
-        else:
-            failure_sets = enumerate_node_failures(t)
-        check_rounds = kind == "links"
-        report = run_failure_sweep(t, compile_state, flows, failure_sets, check_rounds)
-        reference = reference_cases(t, compile_state, flows, failure_sets, check_rounds)
+        a, b, c = t.nodes[0], *t.neighbors(t.nodes[0])[:2]
+        two_links = [FailureSet.of(links=[(a, b), (a, c)])]
+        failure_sets = {
+            "links": enumerate_link_failures(t) + two_links,
+            "nodes": enumerate_node_failures(t),
+            # one template's copies serve sets checked for rounds and sets not
+            "mixed": enumerate_link_failures(t) + enumerate_node_failures(t) + two_links
+            + [FailureSet.of(links=pair) for pair in zip(t.links, t.links[3::2])],
+        }[kind]
+        report = run_failure_sweep(t, compile_state, flows, failure_sets)
+        reference = reference_cases(t, compile_state, flows, failure_sets)
         assert_matches_reference(report, reference)
+        checked = {c.rounds_as_expected is not None for c in report.cases}
+        assert checked == ({False} if kind == "nodes" else {True, False})
         assert len({id(case.fixpoint) for case in report.cases}) < len(report.cases) / 2
 
     @pytest.mark.parametrize("scheme", ["arborescence", "partition", "greedy"])
@@ -390,8 +410,8 @@ class TestFailureFreeReuse:
         ))
         failure_sets = [FailureSet.of(links=links) for links in link_sets]
         flows = all_pairs(t)
-        report = run_failure_sweep(t, compile_state, flows, failure_sets, check_rounds=False)
-        reference = reference_cases(t, compile_state, flows, failure_sets, check_rounds=False)
+        report = run_failure_sweep(t, compile_state, flows, failure_sets)
+        reference = reference_cases(t, compile_state, flows, failure_sets)
         assert_matches_reference(report, reference)
 
 
@@ -415,9 +435,7 @@ class TestSweepStretch:
         real_residual = analysis.residual_adjacency
         monkeypatch.setattr(analysis, "residual_adjacency", lambda topology, failures: (
             residuals.append(failures) or real_residual(topology, failures)))
-        report = run_failure_sweep(
-            t, compile_state, flows, failure_sets, check_rounds=kind == "links"
-        )
+        report = run_failure_sweep(t, compile_state, flows, failure_sets)
         assert len(residuals) == len(set(residuals)) <= len(failure_sets)
         walks = failure_free_walks(t, compile_state, flows)
         by_label = {fs.label(): fs for fs in failure_sets}

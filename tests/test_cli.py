@@ -376,6 +376,23 @@ class TestRunCommand:
         assert "Error: scheme.k=5 exceeds the topology's edge connectivity 4" in result.output
         assert not outdir.exists()
 
+    @pytest.mark.parametrize("command", ["run", "verify"])
+    def test_node_sweep_with_no_node_to_fail_names_the_field(self, runner, tmp_path, command):
+        nodes = build_topology("torus(3,3)").nodes
+        cfg = {
+            "topology": {"kind": "torus", "a": 3, "b": 3},
+            "flows": [{"source": a, "destination": b} for a in nodes for b in nodes if a != b],
+            "scheme": {"kind": "arborescence", "k": 4},
+            "failures": {"kind": "sweep_nodes"},
+        }
+        path = write_config(tmp_path, "nodes.json", cfg)
+        outdir = tmp_path / "out"
+        result = runner.invoke(main, [command, path, "--output-dir", str(outdir)])
+        assert result.exit_code == 1, result.output
+        assert ("Error: failures.kind 'sweep_nodes' leaves no node to fail: "
+                "every node is a flow endpoint") in result.output
+        assert not outdir.exists()
+
     def test_scheme_override_with_bad_k_names_the_field(self, runner, figure1_config_path,
                                                          tmp_path):
         result = runner.invoke(main, ["run", figure1_config_path, "--scheme", "arborescence:x",
@@ -438,6 +455,37 @@ class TestVerifyCommand:
         summary = json.loads((outdir / "verify.json").read_text())
         assert summary["violations"] == 0
         assert summary["violations_by_kind"] == {}
+
+    def test_one_round_check_follows_the_failure_set(self, runner, tmp_path):
+        """Only a set of one failed link is held to the one-round count."""
+        graph = tmp_path / "graph.json"
+        graph.write_text(json.dumps({"nodes": ["0", "1", "2", "3"], "links": [
+            ["0", "1"], ["0", "2"], ["0", "3"], ["1", "2"], ["2", "3"]]}))
+        cfg = {
+            "topology": {"kind": "from_file", "path": str(graph)},
+            "flows": [{"source": "1", "destination": "0"}],
+            "scheme": {"kind": "greedy"},
+            "failures": {"kind": "explicit", "links": [["0", "1"], ["0", "2"]], "nodes": []},
+        }
+        path = write_config(tmp_path, "two_links.json", cfg)
+        outdir = tmp_path / "out"
+        result = runner.invoke(main, ["verify", path, "--output-dir", str(outdir)])
+        assert result.exit_code == 0, result.output
+        assert json.loads((outdir / "verify.json").read_text())["violations"] == 0
+        # The walk 1-2-3-0 is delivered and simple; its one round changes no hop.
+        (case,) = cli._load_and_sweep(path, None, None, str(outdir))[1].cases
+        assert (case.rounds, case.hops_before, case.hops_after) == (1, 3, 3)
+        assert case.violations == [] and case.rounds_as_expected is None
+
+        (case,) = cli._load_and_sweep(path, "0,1", None, str(outdir))[1].cases
+        assert case.rounds_as_expected is True
+        (case,) = cli._load_and_sweep(path, "node:3", None, str(outdir))[1].cases
+        assert case.rounds_as_expected is None
+        cfg["failures"] = {"kind": "sweep_nodes"}
+        report = cli._load_and_sweep(write_config(tmp_path, "nodes.json", cfg), None, None,
+                                     str(outdir))[1]
+        assert [(c.failure, c.rounds_as_expected) for c in report.cases] == [
+            ("node:2", None), ("node:3", None)]
 
     def test_partition_without_redundancy_reports_frr_failures(self, runner, tmp_path):
         cfg = {

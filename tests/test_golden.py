@@ -6,8 +6,9 @@ below and records why in CHANGES.md. Scenarios: both bundled configs
 (``run``, ``verify`` and, for figure1, ``timeline``), plus all-pairs link
 sweeps that exercise greedy pins (hypercube(3)) and cross-partition
 truncation (k=2 on torus(3,3)), a node sweep (arborescence k=4 on
-torus(4,4), which skips the rounds check), and an all-pairs timeline on torus(4,4)
-with mixed link rates, a background flow and a ragged horizon.
+torus(4,4); only single link failures are rounds-checked), and an
+all-pairs timeline on torus(4,4) with mixed link rates, a background flow
+and a ragged horizon.
 """
 
 from __future__ import annotations
