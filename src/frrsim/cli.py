@@ -273,7 +273,11 @@ class SchemeCompiler:
         if config.paths is not None:
             scheme = frr.PartitionScheme(flow=flow, paths=config.paths, relaxed=True)
         else:
-            scheme = frr.compute_disjoint_paths(topology, flow, config.k)
+            try:
+                scheme = frr.compute_disjoint_paths(topology, flow, config.k)
+            except ValueError as exc:  # k exceeds this flow's max flow
+                raise ConfigError(f"scheme.{exc} of flows[{config.flows.index(flow)}] "
+                                  f"{flow.flow_id!r}") from None
         return frr.compile_partition_frr(topology, scheme, flow)
 
 

@@ -21,6 +21,7 @@ most one priority entry per node.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -93,8 +94,8 @@ def _adj_of(arcs: Iterable[tuple[str, str]]) -> dict[str, set[str]]:
 
 
 def _arc_safe(
-    topology: Topology,
     residual: dict[str, set[str]],
+    order: Mapping[str, Sequence[str]],
     root: str,
     need: int,
     arc: tuple[str, str],
@@ -105,13 +106,12 @@ def _arc_safe(
     Removes ``arc`` from ``residual`` and leaves it out only when the answer
     is True. Only nodes with no witness, or whose witness uses ``arc``, run a
     max flow; every new witness is kept, as it lies inside the residual
-    whether or not ``arc`` is committed. The residual arcs are topology
-    arcs, so the topology's sorted neighbours order each max flow's search.
+    whether or not ``arc`` is committed. ``order`` is the topology's arc
+    adjacency; its sorted neighbours order each max flow's search.
     """
     u, v = arc
     residual[u].discard(v)
-    order = topology.arc_adjacency()
-    for x in topology.nodes:
+    for x in order:
         if x == root or (x in witness and arc not in witness[x]):
             continue
         value, flow = unit_max_flow(
@@ -125,15 +125,21 @@ def _arc_safe(
 
 
 def _grow_out_tree(
-    topology: Topology, avail: set[tuple[str, str]], root: str, need: int
-) -> set[tuple[str, str]]:
+    residual: dict[str, set[str]], order: Mapping[str, Sequence[str]], root: str, need: int
+) -> dict[str, str]:
     """Grow one spanning out-tree from root, keeping ``need`` packings possible.
 
-    Arcs are committed only when the residual arc set (``avail`` minus the
-    tree) retains ``need`` arc-disjoint root-to-x paths for every node x,
-    which guarantees the remaining arborescences can still be extracted. A
-    safe arc always exists while the packing bound holds, so the loop cannot
-    stall.
+    Returns the tree as parent pointers toward root and removes its arcs
+    from ``residual``. An arc is committed only when the residual without it
+    keeps ``need`` arc-disjoint root-to-x paths for every node x, so the
+    remaining arborescences can still be extracted. A safe arc exists while
+    the packing bound holds; if none is left, DecompositionError is raised.
+
+    Candidates are residual arcs (u, v) out of spanned nodes, tried in the
+    order (depth of u, u, v). A heap holds them: a node's residual out-arcs
+    are pushed once, when it is spanned, and a popped arc is dropped if v
+    is spanned or the arc is unsafe. A spanned node's out-arcs change only
+    by commits, so the heap pops what re-sorting the candidates would list.
 
     Witness invariant: ``witness[x]`` is the net-flow arc set of x's last
     successful ``need``-path max flow, and between candidates every witness
@@ -142,44 +148,39 @@ def _grow_out_tree(
     root-connectivity below ``need`` only if x has no witness yet or its
     witness uses that arc, and only those nodes are re-checked.
 
-    Unsafe arcs stay unsafe: within one tree the residual only loses arcs
-    (a rejected arc is put back, a committed one leaves for good), and
-    max flows only fall when arcs are removed. So if removing an arc left
-    some node below ``need``, removing it from any later, smaller residual
-    does too, and an arc found unsafe is never tested again.
+    A dropped arc is never pushed again, and need not be: within one tree
+    the residual only loses arcs (a rejected arc is put back, a committed
+    one leaves for good) and max flows only fall as arcs go, so an arc that
+    left some node below ``need`` would do so again in any later residual.
     """
-    nodes = topology.nodes
-    residual = _adj_of(avail)
     witness: dict[str, set[tuple[str, str]]] = {}
-    unsafe: set[tuple[str, str]] = set()
-    spanned = {root}
-    depth = {root: 0}
-    tree: set[tuple[str, str]] = set()
-    while len(spanned) < len(nodes):
-        candidates = sorted(
-            ((u, v) for u in spanned for v in residual.get(u, ())
-             if v not in spanned and (u, v) not in unsafe),
-            key=lambda a: (depth[a[0]], a[0], a[1]),
-        )
-        for u, v in candidates:
-            if need == 0 or _arc_safe(topology, residual, root, need, (u, v), witness):
-                tree.add((u, v))
-                spanned.add(v)
-                depth[v] = depth[u] + 1
-                break
-            unsafe.add((u, v))
-        else:
+    parent: dict[str, str] = {}
+    frontier = [(0, root, v) for v in residual[root]]
+    heapq.heapify(frontier)
+    while len(parent) < len(order) - 1:
+        if not frontier:
             raise DecompositionError(
                 f"no extendable arc while packing arborescences at root {root!r}"
             )
-    return tree
+        depth, u, v = heapq.heappop(frontier)
+        if v == root or v in parent:
+            continue
+        if need and not _arc_safe(residual, order, root, need, (u, v), witness):
+            continue
+        residual[u].discard(v)
+        parent[v] = u
+        for w in residual[v]:
+            heapq.heappush(frontier, (depth + 1, v, w))
+    return parent
 
 
 def decompose_arborescences(topology: Topology, root: str, k: int) -> list[Arborescence]:
     """k pairwise arc-disjoint spanning arborescences oriented toward root.
 
-    Requires k <= edge_connectivity(topology). The result is validated
-    (spanning, rooted, disjoint) before being returned.
+    Requires k <= edge_connectivity(topology). All k trees are cut from one
+    residual adjacency, and tree i leaves k - i arc-disjoint paths to every
+    node in it. The result is validated (spanning, rooted, disjoint) before
+    being returned.
     """
     if not topology.has_node(root):
         raise ValueError(f"root {root!r} not in topology")
@@ -188,13 +189,12 @@ def decompose_arborescences(topology: Topology, root: str, k: int) -> list[Arbor
     lam = edge_connectivity(topology)
     if k > lam:
         raise ValueError(f"k={k} exceeds edge connectivity {lam}")
-    avail = {(u, v) for u in topology.nodes for v in topology.neighbors(u)}
-    arbs: list[Arborescence] = []
-    for i in range(1, k + 1):
-        tree = _grow_out_tree(topology, avail, root, need=k - i)
-        avail -= tree
-        # Out-tree arcs point away from the root; reverse into parent pointers.
-        arbs.append(Arborescence(root=root, parent={v: u for (u, v) in tree}))
+    order = topology.arc_adjacency()
+    residual = {u: set(vs) for u, vs in order.items()}
+    arbs = [
+        Arborescence(root=root, parent=_grow_out_tree(residual, order, root, need=k - i))
+        for i in range(1, k + 1)
+    ]
     validate_disjoint(arbs, topology)
     return arbs
 

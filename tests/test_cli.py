@@ -376,6 +376,18 @@ class TestRunCommand:
         assert "Error: scheme.k=5 exceeds the topology's edge connectivity 4" in result.output
         assert not outdir.exists()
 
+    @pytest.mark.parametrize("command", ["run", "verify", "timeline"])
+    def test_partition_k_beyond_a_flows_max_flow_names_the_field(self, runner, tmp_path,
+                                                                  command):
+        cfg = figure1_config()
+        # S1->S4 has two edge-disjoint paths; S->D has one, through the S-S1 stub
+        cfg["flows"] = [{"source": "S1", "destination": "S4"}, {"source": "S", "destination": "D"}]
+        cfg["scheme"] = {"kind": "partition", "k": 2}
+        path = write_config(tmp_path, "partition.json", cfg)
+        result = runner.invoke(main, [command, path, "--output-dir", str(tmp_path / "out")])
+        assert result.exit_code == 1, result.output
+        assert "Error: scheme.k=2 exceeds max-flow value 1 of flows[1] 'S->D'" in result.output
+
     @pytest.mark.parametrize("command", ["run", "verify"])
     def test_node_sweep_with_no_node_to_fail_names_the_field(self, runner, tmp_path, command):
         nodes = build_topology("torus(3,3)").nodes

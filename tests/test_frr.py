@@ -27,7 +27,7 @@ from frrsim import (
 )
 from frrsim.analysis import enumerate_link_failures
 from frrsim.forwarding import MODE_SUFFIX, ForwardingState, PortTable
-from frrsim.frr import PartitionScheme, validate_disjoint
+from frrsim.frr import DecompositionError, PartitionScheme, validate_disjoint
 from frrsim.scenarios import FIGURE1_PATHS
 
 
@@ -99,40 +99,70 @@ class TestDecomposition:
             validate_disjoint([a1, a2], triangle)
 
 
-def grow_out_tree_retesting_unsafe_arcs(topology, avail, root, need):
-    """``frr._grow_out_tree`` without its set of arcs already found unsafe."""
-    residual = frr_module._adj_of(avail)
+def grow_out_tree_by_resorting(residual, order, root, need):
+    """``frr._grow_out_tree`` as it stood before the frontier heap, verbatim but
+    for the residual shared across a root's trees, from which it discards the
+    arcs it commits: the candidates are re-sorted after every commit and the
+    arcs found unsafe are kept in a set."""
+    witness = {}
+    unsafe = set()
+    spanned = {root}
+    depth = {root: 0}
+    tree = set()
+    while len(spanned) < len(order):
+        candidates = sorted(
+            ((u, v) for u in spanned for v in residual.get(u, ())
+             if v not in spanned and (u, v) not in unsafe),
+            key=lambda a: (depth[a[0]], a[0], a[1]),
+        )
+        for u, v in candidates:
+            if need == 0 or frr_module._arc_safe(residual, order, root, need, (u, v), witness):
+                residual[u].discard(v)
+                tree.add((u, v))
+                spanned.add(v)
+                depth[v] = depth[u] + 1
+                break
+            unsafe.add((u, v))
+        else:
+            raise DecompositionError(
+                f"no extendable arc while packing arborescences at root {root!r}"
+            )
+    return {v: u for (u, v) in tree}
+
+
+def grow_out_tree_retesting_unsafe_arcs(residual, order, root, need):
+    """``grow_out_tree_by_resorting`` without its set of arcs already found unsafe."""
     witness = {}
     spanned, depth, tree = {root}, {root: 0}, set()
-    while len(spanned) < len(topology.nodes):
+    while len(spanned) < len(order):
         candidates = sorted(
             ((u, v) for u in spanned for v in residual.get(u, ()) if v not in spanned),
             key=lambda a: (depth[a[0]], a[0], a[1]),
         )
         for u, v in candidates:
-            if need == 0 or frr_module._arc_safe(topology, residual, root, need, (u, v),
-                                                 witness):
+            if need == 0 or frr_module._arc_safe(residual, order, root, need, (u, v), witness):
+                residual[u].discard(v)
                 tree.add((u, v))
                 spanned.add(v)
                 depth[v] = depth[u] + 1
                 break
-    return tree
+    return {v: u for (u, v) in tree}
 
 
 # sha256 over the decomposition and disjoint-path outputs of
 # test_outputs_are_pinned, captured before witness flows and the reverse-arc
 # index in unit_max_flow: any change in the chosen arcs must show here.
 DECOMPOSITION_DIGEST = "82497783474719371ce4a3ffa3b3050cacf8d83bc3138a08bbbbaf606c61a103"
+PINNED_SPECS = ["torus(4,4)", "hypercube(4)", "complete(6)"] + [
+    {"kind": "random", "n": 9, "p": 0.5, "seed": s, "min_edge_connectivity": 2}
+    for s in (1, 2, 3)
+]
 
 
 class TestDecompositionOutputsAndWork:
     def test_outputs_are_pinned(self):
-        specs = ["torus(4,4)", "hypercube(4)", "complete(6)"] + [
-            {"kind": "random", "n": 9, "p": 0.5, "seed": s, "min_edge_connectivity": 2}
-            for s in (1, 2, 3)
-        ]
         h = hashlib.sha256()
-        for spec in specs:
+        for spec in PINNED_SPECS:
             t = build_topology(spec)
             lam = edge_connectivity(t)
             for root in t.nodes:
@@ -194,6 +224,33 @@ class TestDecompositionOutputsAndWork:
         reference, retesting = decompose_every_root()
         assert parents == reference
         assert skipping < retesting
+
+    @pytest.mark.parametrize("spec", PINNED_SPECS)
+    def test_the_heap_tests_the_arcs_the_resort_tested(self, monkeypatch, spec):
+        t = build_topology(spec)
+        lam = edge_connectivity(t)
+        tested = []
+        inner = frr_module._arc_safe
+
+        def recording(residual, order, root, need, arc, witness):
+            tested.append((need, arc))
+            return inner(residual, order, root, need, arc, witness)
+
+        def decompose_every_root():
+            tested.clear()
+            parents = [[a.parent for a in decompose_arborescences(t, root, lam)]
+                       for root in t.nodes]
+            return parents, list(tested)
+
+        monkeypatch.setattr(frr_module, "_arc_safe", recording)
+        heap = decompose_every_root()
+        monkeypatch.setattr(frr_module, "_grow_out_tree", grow_out_tree_by_resorting)
+        assert decompose_every_root() == heap
+
+    def test_a_stalled_tree_raises_and_names_the_root(self, monkeypatch):
+        monkeypatch.setattr(frr_module, "_arc_safe", lambda *args: False)
+        with pytest.raises(DecompositionError, match="at root '0_0'"):
+            decompose_arborescences(build_topology("torus(3,3)"), "0_0", 2)
 
 
 class TestArborescenceCompile:
