@@ -23,7 +23,9 @@ import heapq
 import io
 import itertools
 import json
-from dataclasses import dataclass, field
+import operator
+from array import array
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Mapping, Sequence, TextIO
 
@@ -118,9 +120,26 @@ class CaseResult:
         }
 
 
+# (flow, failure): the order of every run artefact
+_sort_key = operator.attrgetter("flow_id", "failure")
+
+
 @dataclass
 class SweepReport:
-    """Aggregate of a failure sweep; violations are expected to be zero."""
+    """Aggregate of a failure sweep; violations are expected to be zero.
+
+    A report built as ``SweepReport(cases, violations_by_kind)`` holds that
+    list: ``cases`` is it, and the counts are taken from it on each read.
+    The report ``run_failure_sweep`` returns keeps, per flow, the cases that
+    ran their own fixpoint and the indices of the failure sets that reuse
+    the flow's failure-free template, and counts the cases as the sweep
+    runs. Its ``cases`` is built on each read and never cached, so a held
+    report holds no copy of a reused case. Each read makes new
+    ``CaseResult``s, each with its own ``violations`` list; a reused case
+    shares the template's ``fixpoint``, which is read-only, as every
+    ``fixpoint`` is. A change to one of these cases is lost on the next
+    read, so callers change such copies, never the report.
+    """
 
     cases: list[CaseResult]
     violations_by_kind: dict[str, int]
@@ -137,12 +156,15 @@ class SweepReport:
     def total_violations(self) -> int:
         return sum(self.violations_by_kind.values())
 
-    @functools.cached_property
+    def iter_sorted_cases(self) -> Iterator[CaseResult]:
+        """The cases in (flow, failure) order, which is the order of every
+        run artefact; ties keep the order of ``cases``."""
+        return iter(sorted(self.cases, key=_sort_key))
+
+    @property
     def sorted_cases(self) -> list[CaseResult]:
-        """The cases in (flow, failure) order, which is the order of every run
-        artefact. Sorted once, on first use, so the cases must not change
-        after that."""
-        return sorted(self.cases, key=lambda c: (c.flow_id, c.failure))
+        """``iter_sorted_cases()`` as a list, built on each read."""
+        return list(self.iter_sorted_cases())
 
     def summary_dict(self) -> dict:
         return {
@@ -151,6 +173,78 @@ class SweepReport:
             "violations": self.total_violations,
             "violations_by_kind": dict(sorted(self.violations_by_kind.items())),
         }
+
+
+# A reused case's own fields; the others are its template's.
+_OWN_FIELDS = ("failure", "stretch_before", "stretch_after", "rounds_as_expected", "violations")
+
+
+class _FlowCases:
+    """One flow's cases in a sweep, by index into the sweep's failure sets.
+
+    ``fresh`` ran their own fixpoint, at the indices ``fresh_at``. Each index
+    in ``reused`` copies ``template``, the flow's case with nothing failed,
+    with the stretch at the same position of ``stretches``, or with the
+    template's stretch when ``stretches`` is None. Both index arrays ascend.
+    """
+
+    __slots__ = ("flow_id", "template", "stretches", "fresh", "fresh_at", "reused")
+
+    def __init__(self, flow_id: str, template: CaseResult | None, stretches: array | None):
+        self.flow_id, self.template, self.stretches = flow_id, template, stretches
+        self.fresh: list[CaseResult] = []
+        self.fresh_at, self.reused = array("i"), array("i")
+
+    def expand(self, labels: Sequence[str], checked: Sequence[bool | None]) -> list[CaseResult]:
+        """New copies of the flow's cases, in sweep order: of each fresh case,
+        and of the template for each reused index, labelled ``labels[index]``
+        with ``rounds_as_expected`` ``checked[index]``."""
+        cases = {index: replace(case, violations=list(case.violations))
+                 for index, case in zip(self.fresh_at, self.fresh)}
+        if self.reused:
+            fields = {name: value for name, value in vars(self.template).items()
+                      if name not in _OWN_FIELDS}
+            stretches = self.stretches or itertools.repeat(self.template.stretch_before)
+            for index, ratio in zip(self.reused, stretches):
+                cases[index] = CaseResult(**fields, failure=labels[index], stretch_before=ratio,
+                                          stretch_after=ratio, rounds_as_expected=checked[index])
+        return [cases[index] for index in sorted(cases)]
+
+
+class _SweptReport(SweepReport):
+    """The report ``run_failure_sweep`` returns: one ``_FlowCases`` per flow,
+    the sweep's failure labels and per-set rounds check, and counts."""
+
+    def __init__(self, flows: list[_FlowCases], labels: list[str],
+                 checked: list[bool | None], total_cases: int, frr_failures: int,
+                 violations_by_kind: dict[str, int]):
+        self._flows, self._labels, self._checked = flows, labels, checked
+        self._total_cases, self._frr_failures = total_cases, frr_failures
+        self.violations_by_kind = violations_by_kind
+
+    @property
+    def cases(self) -> list[CaseResult]:
+        return [case for flow in self._flows for case in flow.expand(self._labels, self._checked)]
+
+    @property
+    def total_cases(self) -> int:
+        return self._total_cases
+
+    @property
+    def frr_failures(self) -> int:
+        return self._frr_failures
+
+    def iter_sorted_cases(self) -> Iterator[CaseResult]:
+        """Expanded one flow id at a time; flows sharing an id (which the CLI
+        rejects) are expanded together, so the order is the sorted one."""
+        by_id: dict[str, list[_FlowCases]] = {}
+        for flow in self._flows:
+            by_id.setdefault(flow.flow_id, []).append(flow)
+        for flow_id in sorted(by_id):
+            cases = [case for flow in by_id[flow_id]
+                     for case in flow.expand(self._labels, self._checked)]
+            cases.sort(key=_sort_key)
+            yield from cases
 
 
 def _promises_one_round(failures: FailureSet) -> bool:
@@ -220,31 +314,43 @@ def run_failure_sweep(
 
     Each flow first runs, unreported, the case with nothing failed. If it
     is delivered in 0 rounds with no violation, it is the template of every
-    failure set that fails no node and no link of its walk: such a case
-    copies the template's fields under its own label. This is exact because
-    shortcutting is local. With nothing failed, each hop took the first
-    entry of its suffix (greedy state skips only the return edge, never a
-    dead entry), and that entry is still live, so the walk is the same.
-    Zero rounds means no inport saw an exit deeper than its start, which
-    no failure can change, so no rule changes either. The copies share the
-    template's ``FixpointResult`` object, so a ``CaseResult.fixpoint`` must
-    be treated as read-only. A copy's rounds check is its own set's: the
-    template did not loop (a looped walk left as it was is a violation) and
-    needed no round, so a checked copy needed the rounds expected. If the
-    case with nothing failed raises, drops, needs a round or violates a
-    guarantee, every case of the flow runs its own fixpoint.
+    failure set that fails no node and no link of its walk: such a reused
+    case is the template's fields under its own label. This is exact
+    because shortcutting is local. With nothing failed, each hop took the
+    first entry of its suffix (greedy state skips only the return edge,
+    never a dead entry), and that entry is still live, so the walk is the
+    same. Zero rounds means no inport saw an exit deeper than its start,
+    which no failure can change, so no rule changes either. A reused case's
+    rounds check is its own set's: the template did not loop (a looped walk
+    left as it was is a violation) and needed no round, so a checked reused
+    case needed the rounds expected. If the case with nothing failed
+    raises, drops, needs a round or violates a guarantee, every case of the
+    flow runs its own fixpoint.
 
-    A copy keeps the template's stretch when it is 1.0, that is when the
-    walk's hop count h is the failure-free distance: the walk survives, so
-    the residual distance is at most h, and removing links lengthens no
+    A reused case keeps the template's stretch when it is 1.0, that is when
+    the walk's hop count h is the failure-free distance: the walk survives,
+    so the residual distance is at most h, and removing links lengthens no
     path, so it is at least h. Every other stretch looks up a residual
     distance. The residual graph of a failure set (the topology itself for
     nothing failed) is built once per sweep, and its distances to a
     destination once per (failure set, destination).
+
+    The report builds no ``CaseResult`` for a reused case. Per flow it keeps
+    the template, the cases that ran their own fixpoint, the indices of the
+    failure sets that reuse the template and, only when the template's
+    stretch is not 1.0, each reused case's stretch; it counts the cases,
+    the frr failures and the violations as the sweep runs. Its ``cases``
+    (in sweep order) and ``iter_sorted_cases()`` build new copies of the
+    cases on every read, and a reused case shares the template's
+    ``FixpointResult`` object, so a ``CaseResult.fixpoint`` must be treated
+    as read-only.
     """
-    cases: list[CaseResult] = []
+    flow_cases: list[_FlowCases] = []
+    total = frr_failures = 0
     violations: dict[str, int] = {}
     labels = [failures.label() for failures in failure_sets]
+    checked = [True if check_rounds and _promises_one_round(failures) else None
+               for failures in failure_sets]
     # keyed by index into failure_sets, None for nothing failed
     residuals: dict[int | None, Mapping[str, Sequence[str]]] = {None: topology.arc_adjacency()}
     distances: dict[tuple[int | None, str], dict[str, int]] = {}
@@ -291,29 +397,30 @@ def run_failure_sweep(
             path = walk.node_path()
             nodes = frozenset(path)
             links = frozenset(canon_link(u, v) for u, v in zip(path, path[1:]))
-            fields = {name: value for name, value in vars(template).items()
-                      if name not in ("failure", "rounds_as_expected", "violations")}
+        record = _FlowCases(flow.flow_id, template if reusable else None,
+                            array("d") if reusable and template.stretch_before != 1.0 else None)
         for index, failures in enumerate(failure_sets):
             if flow.source in failures.failed_nodes or (
                 flow.destination in failures.failed_nodes
             ):
                 continue
+            total += 1
             if reusable and failures.failed_nodes.isdisjoint(nodes) and (
                 failures.failed_links.isdisjoint(links)
             ):
-                checked = check_rounds and _promises_one_round(failures)
-                case = CaseResult(**fields, failure=labels[index],
-                                  rounds_as_expected=True if checked else None)
-                if template.stretch_before != 1.0:
-                    case.stretch_before = case.stretch_after = _over_optimal(
-                        walk, distance(index, flow))
-            else:
-                case = CaseResult(flow_id=flow.flow_id, failure=labels[index], verdict="")
-                state = run_case(case, flow, failures, index, state, base)
+                record.reused.append(index)
+                if record.stretches is not None:
+                    record.stretches.append(_over_optimal(walk, distance(index, flow)))
+                continue
+            case = CaseResult(flow_id=flow.flow_id, failure=labels[index], verdict="")
+            state = run_case(case, flow, failures, index, state, base)
+            frr_failures += case.verdict == "frr_failed"
             for kind in case.violations:
                 violations[kind] = violations.get(kind, 0) + 1
-            cases.append(case)
-    return SweepReport(cases=cases, violations_by_kind=violations)
+            record.fresh.append(case)
+            record.fresh_at.append(index)
+        flow_cases.append(record)
+    return _SweptReport(flow_cases, labels, checked, total, frr_failures, violations)
 
 
 # Run artefacts print as json.dumps(..., indent=2, sort_keys=True) would, but
@@ -340,20 +447,24 @@ def json_items(items: Sequence[str], depth: int, brackets: str = "[]") -> str:
     return f"{brackets[0]}{pad}  {body}{pad}{brackets[1]}"
 
 
-def write_json_items(file: TextIO, chunks: Iterable[Sequence[str]], depth: int) -> None:
-    """``json_items`` of every chunk's items in turn, one chunk at a time.
+class JsonList:
+    """``json_items`` of a list's encoded items, ``depth`` deep, written into
+    ``file`` one non-empty chunk of items at a time; ``close`` ends it."""
 
-    Each chunk is a non-empty list of encoded items; only one is held at once.
-    """
-    # Encoded JSON never holds a raw NUL, so it splits off the brackets.
-    head, tail = json_items(["\0"], depth).split("\0")
-    separator = _encoder(depth).item_separator
-    written = False
-    for items in chunks:
-        file.write(separator if written else head)
-        file.write(separator.join(items))
-        written = True
-    file.write(tail if written else "[]")
+    def __init__(self, file: TextIO, depth: int):
+        # Encoded JSON never holds a raw NUL, so it splits off the brackets.
+        self._head, self._tail = json_items(["\0"], depth).split("\0")
+        self._separator = _encoder(depth).item_separator
+        self._file = file
+        self._written = False
+
+    def write(self, items: Sequence[str]) -> None:
+        self._file.write(self._separator if self._written else self._head)
+        self._file.write(self._separator.join(items))
+        self._written = True
+
+    def close(self) -> None:
+        self._file.write(self._tail if self._written else "[]")
 
 
 def json_fields(records: Sequence, depth: int) -> list[str]:
@@ -370,14 +481,15 @@ def json_fields(records: Sequence, depth: int) -> list[str]:
 
 
 # Run artefacts are written WRITE_CHUNK cases at a time, so a writer holds one
-# chunk's text, never a whole document.
+# chunk's text and cases, never a whole document or every case.
 WRITE_CHUNK = 256
 
 
-def in_chunks(cases: Sequence[CaseResult]) -> Iterator[Sequence[CaseResult]]:
-    """``cases`` as consecutive slices of ``WRITE_CHUNK`` cases (the last may be shorter)."""
-    for first in range(0, len(cases), WRITE_CHUNK):
-        yield cases[first:first + WRITE_CHUNK]
+def in_chunks(cases: Iterable[CaseResult]) -> Iterator[list[CaseResult]]:
+    """``cases`` as consecutive lists of ``WRITE_CHUNK`` cases (the last may be shorter)."""
+    cases = iter(cases)
+    while chunk := list(itertools.islice(cases, WRITE_CHUNK)):
+        yield chunk
 
 
 def _written(write: Callable[[TextIO], None], file: TextIO | None) -> str | None:
@@ -389,20 +501,30 @@ def _written(write: Callable[[TextIO], None], file: TextIO | None) -> str | None
     return buf.getvalue()
 
 
+CSV_HEADER = ",".join(ROW_FIELDS) + "\n"
+
+
+def csv_rows(cases: Sequence[CaseResult]) -> str:
+    """report.csv's row of each case."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(case.to_row().values() for case in cases)
+    return buf.getvalue()
+
+
 def report_csv(report: SweepReport, file: TextIO | None = None) -> str | None:
     """CSV rows: flow, failure, verdict, hops and stretch before/after, rounds.
 
     Written into ``file`` if given (returning None), else returned as text.
     """
     def write(out: TextIO) -> None:
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(ROW_FIELDS)
-        writer.writerows(case.to_row().values() for case in report.sorted_cases)
+        out.write(CSV_HEADER)
+        for chunk in in_chunks(report.iter_sorted_cases()):
+            out.write(csv_rows(chunk))
 
     return _written(write, file)
 
 
-def _case_records(cases: Sequence[CaseResult]) -> list[str]:
+def case_records(cases: Sequence[CaseResult]) -> list[str]:
     """report.json's record of each case: its row, error and violations."""
     fields = json_fields([{**case.to_row(), "error": case.error} for case in cases], 2)
     violations = json_fields([case.violations for case in cases], 3)
@@ -412,20 +534,29 @@ def _case_records(cases: Sequence[CaseResult]) -> list[str]:
     ]
 
 
+def report_json_frame(report: SweepReport) -> tuple[str, str]:
+    """report.json's text before and after the list of ``case_records``."""
+    summary = report.summary_dict()
+    by_kind = json_items(json_fields([summary.pop("violations_by_kind")], 2), 2, "{}")
+    summary = json_items([*json_fields([summary], 1), f'"violations_by_kind": {by_kind}'], 1, "{}")
+    head, tail = json_items(['"cases": \0', f'"summary": {summary}'], 0, "{}").split("\0")
+    return head, tail + "\n"
+
+
 def report_json(report: SweepReport, file: TextIO | None = None) -> str | None:
     """``{"cases": [row + error + violations, ...], "summary": summary_dict()}``.
 
     Written into ``file`` if given (returning None), else returned as text.
     """
-    summary = report.summary_dict()
-    by_kind = json_items(json_fields([summary.pop("violations_by_kind")], 2), 2, "{}")
-    summary = json_items([*json_fields([summary], 1), f'"violations_by_kind": {by_kind}'], 1, "{}")
-    head, tail = json_items(['"cases": \0', f'"summary": {summary}'], 0, "{}").split("\0")
+    head, tail = report_json_frame(report)
 
     def write(out: TextIO) -> None:
         out.write(head)
-        write_json_items(out, map(_case_records, in_chunks(report.sorted_cases)), 1)
-        out.write(tail + "\n")
+        records = JsonList(out, 1)
+        for chunk in in_chunks(report.iter_sorted_cases()):
+            records.write(case_records(chunk))
+        records.close()
+        out.write(tail)
 
     return _written(write, file)
 

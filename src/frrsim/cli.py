@@ -294,7 +294,8 @@ def _resolve_output_dir(config: ScenarioConfig, flag_value: str | None) -> Path:
 
 def _load_and_sweep(config_path: str, fail: str | None, scheme: str | None,
                     output_dir: str | None) -> tuple[Path, analysis.SweepReport]:
-    """Parse the config, make the output directory and run the failure sweep."""
+    """Parse the config, run the failure sweep and make the output directory
+    (only once every flow compiled, so a config that fails makes none)."""
     with _named("", click.ClickException):
         config = ScenarioConfig.load(config_path, fail, scheme)
         topology, flows, failures = config.topology, config.flows, config.failures
@@ -308,9 +309,9 @@ def _load_and_sweep(config_path: str, fail: str | None, scheme: str | None,
             if not failure_sets:
                 raise ConfigError("failures.kind 'sweep_nodes' leaves no node to fail: "
                                   "every node is a flow endpoint")
-        outdir = _resolve_output_dir(config, output_dir)
-        return outdir, analysis.run_failure_sweep(
+        report = analysis.run_failure_sweep(
             topology, SchemeCompiler(config).compile, flows, failure_sets)
+        return _resolve_output_dir(config, output_dir), report
 
 
 _AUDIT = json.JSONEncoder(sort_keys=True)
@@ -358,14 +359,14 @@ def _artefacts(outdir: Path, *names: str):
 def _write_run_outputs(outdir: Path, report: analysis.SweepReport) -> None:
     """Write traces.json, audit.jsonl, report.csv and report.json.
 
-    Every file is streamed from ``report.sorted_cases``, ``WRITE_CHUNK``
-    cases at a time. Cases reuse one ``FixpointResult`` wherever the
-    failure misses the failure-free walk, so each distinct fixpoint's
+    The four files are written together from one pass over
+    ``report.iter_sorted_cases()``, ``WRITE_CHUNK`` cases at a time, so no
+    list of every case is held. Cases reuse one ``FixpointResult`` wherever
+    the failure misses the failure-free walk, so each distinct fixpoint's
     traces are serialised once per flow and spliced into the record of
     every case that holds it. Reuse never crosses flows, so that memo is
     emptied whenever the flow changes.
     """
-    cases = report.sorted_cases
     traces: dict[int, str] = {}  # id(fixpoint) -> its traces list, two levels deep
     flow_id = None
 
@@ -388,20 +389,30 @@ def _write_run_outputs(outdir: Path, report: analysis.SweepReport) -> None:
             docs.append(analysis.json_items([head, f'"traces": {fragment}', verdict], 1, "{}"))
         return docs
 
+    def audit_lines(chunk: list[analysis.CaseResult]) -> str:
+        return "".join([
+            _AUDIT.encode({"flow": case.flow_id, "failure": case.failure,
+                           "round": round_no, **change.to_json_dict()}) + "\n"
+            for case in chunk if case.fixpoint
+            for round_no, changes in enumerate(case.fixpoint.changes_per_round, start=1)
+            for change in changes
+        ])
+
+    json_head, json_tail = analysis.report_json_frame(report)
     names = ("traces.json", "audit.jsonl", "report.csv", "report.json")  # report.json last
     with _artefacts(outdir, *names) as (traces_file, audit_file, csv_file, json_file):
-        analysis.write_json_items(traces_file, map(trace_docs, analysis.in_chunks(cases)), 0)
+        docs, records = analysis.JsonList(traces_file, 0), analysis.JsonList(json_file, 1)
+        csv_file.write(analysis.CSV_HEADER)
+        json_file.write(json_head)
+        for chunk in analysis.in_chunks(report.iter_sorted_cases()):
+            docs.write(trace_docs(chunk))
+            audit_file.write(audit_lines(chunk))
+            csv_file.write(analysis.csv_rows(chunk))
+            records.write(analysis.case_records(chunk))
+        docs.close()
         traces_file.write("\n")
-        for chunk in analysis.in_chunks(cases):
-            audit_file.write("".join([
-                _AUDIT.encode({"flow": case.flow_id, "failure": case.failure,
-                               "round": round_no, **change.to_json_dict()}) + "\n"
-                for case in chunk if case.fixpoint
-                for round_no, changes in enumerate(case.fixpoint.changes_per_round, start=1)
-                for change in changes
-            ]))
-        analysis.report_csv(report, csv_file)
-        analysis.report_json(report, json_file)
+        records.close()
+        json_file.write(json_tail)
 
 
 @click.group()
@@ -459,9 +470,8 @@ def cmd_timeline(config_path: str, output_dir: str | None):
     """Emit the three-regime throughput timeline CSV for a scenario."""
     with _named("", click.ClickException):
         config = ScenarioConfig.load(config_path)
-        _background_plans(config)  # a config the timeline cannot run makes no directory
+        timeline = build_timeline(config)  # a config the timeline cannot run makes no directory
         outdir = _resolve_output_dir(config, output_dir)
-        timeline = build_timeline(config)
     with _artefacts(outdir, "timeline.csv") as (file,):
         timeline.write_csv(file)
     click.echo(f"timeline written to {outdir / 'timeline.csv'}")

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import csv
+import gc
 import io
+import types
 from collections import Counter
 from fractions import Fraction
 
@@ -153,9 +155,9 @@ def reference_cases(topology, compile_state, flows, failure_sets):
     return out
 
 
-def assert_matches_reference(report, reference):
-    assert len(report.cases) == len(reference)
-    for case, (ref_case, ref_fp) in zip(report.cases, reference):
+def assert_matches_reference(cases, reference):
+    assert len(cases) == len(reference)
+    for case, (ref_case, ref_fp) in zip(cases, reference):
         assert case == ref_case
         assert case.fixpoint.traces == ref_fp.traces
         assert case.fixpoint.changes_per_round == ref_fp.changes_per_round
@@ -200,7 +202,8 @@ class TestSweepUndo:
             return state
 
         report = run_failure_sweep(t, recording_compile, flows, failure_sets)
-        assert_matches_reference(report, reference_cases(t, compile_state, flows, failure_sets))
+        assert_matches_reference(report.cases,
+                                 reference_cases(t, compile_state, flows, failure_sets))
         assert report.violations_by_kind == {}
         assert len(compiled) == len(flows)
         for state, snapshot in compiled:
@@ -250,16 +253,17 @@ class TestSweepUndo:
             ("0_0->1_1", "link:0_0-0_1"),
             ("0_0->1_1", "link:0_1-1_1"),
         ]
-        broken = report.cases[54]
+        cases = report.cases
+        broken = cases[54]
         assert (broken.flow_id, broken.failure) == calls[7]
         assert broken.verdict == "exception"
         assert broken.error == "RuntimeError: injected fault"
         assert report.violations_by_kind == {"exception": 1}
-        assert report.cases[55].flow_id == broken.flow_id
+        assert cases[55].flow_id == broken.flow_id
         # the flow's next fixpoint runs on a fresh state
-        assert (report.cases[59].flow_id, report.cases[59].failure) == calls[8]
-        del report.cases[54], reference[54]
-        assert_matches_reference(report, reference)
+        assert (cases[59].flow_id, cases[59].failure) == calls[8]
+        del cases[54], reference[54]
+        assert_matches_reference(cases, reference)
 
     def test_failure_free_fixpoint_that_raises_is_not_a_case(self, monkeypatch):
         t = build_topology("torus(3,3)")
@@ -287,7 +291,7 @@ class TestSweepUndo:
             ("0_0->0_1", label) for label in [fs.label() for fs in failure_sets]
         ] + [("0_0->0_2", "none")]
         assert report.violations_by_kind == {}
-        assert_matches_reference(report, reference)
+        assert_matches_reference(report.cases, reference)
 
 
 def failure_free_walks(topology, compile_state, flows):
@@ -338,7 +342,7 @@ class TestFailureFreeReuse:
         }[kind]
         report = run_failure_sweep(t, compile_state, flows, failure_sets)
         reference = reference_cases(t, compile_state, flows, failure_sets)
-        assert_matches_reference(report, reference)
+        assert_matches_reference(report.cases, reference)
         checked = {c.rounds_as_expected is not None for c in report.cases}
         assert checked == ({False} if kind == "nodes" else {True, False})
         assert len({id(case.fixpoint) for case in report.cases}) < len(report.cases) / 2
@@ -384,7 +388,7 @@ class TestFailureFreeReuse:
         assert route_calls[0] == len(free.traces) + sum(
             len(c.fixpoint.traces) for c in report.cases
         )
-        assert_matches_reference(report, reference)
+        assert_matches_reference(report.cases, reference)
 
     @settings(
         max_examples=40,
@@ -412,7 +416,87 @@ class TestFailureFreeReuse:
         flows = all_pairs(t)
         report = run_failure_sweep(t, compile_state, flows, failure_sets)
         reference = reference_cases(t, compile_state, flows, failure_sets)
-        assert_matches_reference(report, reference)
+        assert_matches_reference(report.cases, reference)
+
+
+class TestCompactReport:
+    """A sweep keeps reused cases as failure-set indices on their flow's
+    template and builds them only when ``cases`` is read."""
+
+    # summary_dict() of these sweeps when every case was kept as a CaseResult
+    SUMMARIES = {
+        "greedy": {"cases": 7680, "frr_precondition_failures": 64, "violations": 0,
+                   "violations_by_kind": {}},
+        "arborescence": {"cases": 7680, "frr_precondition_failures": 0, "violations": 0,
+                         "violations_by_kind": {}},
+    }
+
+    @staticmethod
+    def reachable_cases(root) -> int:
+        """The ``CaseResult``s reachable from ``root`` through ``gc.get_referents``."""
+        seen, stack, found = {id(root)}, [root], 0
+        while stack:
+            obj = stack.pop()
+            found += isinstance(obj, CaseResult)
+            for ref in gc.get_referents(obj):
+                if id(ref) not in seen and not isinstance(ref, (type, types.ModuleType)):
+                    seen.add(id(ref))
+                    stack.append(ref)
+        return found
+
+    @pytest.mark.parametrize("scheme", ["greedy", "arborescence"])
+    def test_reused_cases_are_not_held_as_objects(self, scheme):
+        t = build_topology("torus(4,4)")
+        compile_state = SCHEME_COMPILERS[scheme](t)
+        flows = all_pairs(t)
+        failure_sets = enumerate_link_failures(t)
+        report = run_failure_sweep(t, compile_state, flows, failure_sets)
+        assert report.summary_dict() == self.SUMMARIES[scheme]
+
+        reused = reusable = 0
+        for flow in flows:
+            free = shortcut_fixpoint(compile_state(flow), t, FailureSet(), flow)
+            walk = free.initial_trace
+            if not (free.delivered and free.rounds == 0 and walk.is_simple()):
+                continue
+            reusable += 1
+            links = FailureSet.of(links=zip(walk.node_path(), walk.node_path()[1:])).failed_links
+            reused += sum(1 for failures in failure_sets
+                          if failures.failed_links.isdisjoint(links))
+        fresh = report.total_cases - reused
+        held = self.reachable_cases(report)
+        assert held == fresh + reusable
+        assert held < report.total_cases / 4
+        assert len(report.cases) == report.total_cases
+
+    def test_expansion_equals_the_fresh_fixpoint_per_case(self):
+        t = build_topology("torus(3,3)")
+        compile_state = SCHEME_COMPILERS["arborescence"](t)
+        # a flow listed twice and a set listed twice tie in the sorted order
+        flows = all_pairs(t) + [Flow(t.nodes[0], t.nodes[4])]
+        a, b, c = t.nodes[0], *t.neighbors(t.nodes[0])[:2]
+        two_links = FailureSet.of(links=[(a, b), (a, c)])
+        failure_sets = (enumerate_link_failures(t) + enumerate_node_failures(t)
+                        + [two_links, FailureSet.of(links=t.links[1::4]), two_links])
+        report = run_failure_sweep(t, compile_state, flows, failure_sets)
+        templates = [flow.template for flow in report._flows if flow.reused]
+        assert any(template.stretch_before != 1.0 for template in templates)
+        assert any(template.stretch_before == 1.0 for template in templates)
+
+        cases = report.cases
+        assert_matches_reference(cases, reference_cases(t, compile_state, flows, failure_sets))
+        expected = sorted(cases, key=lambda c: (c.flow_id, c.failure))
+        got = report.sorted_cases
+        assert got == expected
+        assert all(a.fixpoint is b.fixpoint for a, b in zip(got, expected))
+        # each read builds new copies, and no two cases share a violations list
+        assert len({id(case) for case in cases + got}) == 2 * len(cases)
+        assert len({id(case.violations) for case in cases + got}) == 2 * len(cases)
+        assert len({id(case.fixpoint) for case in cases}) < len(cases) / 2
+        for case in cases:
+            case.violations.append("changed")
+        assert [case.violations for case in report.cases] == [
+            case.violations[:-1] for case in cases]
 
 
 class TestSweepStretch:

@@ -7,12 +7,12 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from frrsim import FailureSet, Flow, build_topology, cli, figure1_topology
+from frrsim import FailureSet, Flow, analysis, build_topology, cli, figure1_topology
 from frrsim.analysis import REGIME_FRR, REGIME_SHORTCUT, REGIMES
 from frrsim.cli import ConfigError, ScenarioConfig, SchemeCompiler, main
 from frrsim.scenarios import FIGURE1_BACKGROUND, figure1_config
 
-from test_golden import GENERATED
+from test_golden import GENERATED, _all_pairs_sweep
 
 UNIT_RATES = {f"{u},{v}": 1 for u, v in figure1_topology().directed_edges()}
 
@@ -163,7 +163,8 @@ class TestRunCommand:
     @pytest.mark.parametrize("where", ["flag", "env", "config"])
     def test_output_dir_that_is_a_file_is_a_clean_error(self, runner, tmp_path, monkeypatch,
                                                         command, where):
-        # The directory is checked before any flow compiles or runs.
+        # The directory is made once every flow compiled and ran, so a config
+        # that fails to compile leaves none behind.
         work = []
         monkeypatch.setattr(cli, "build_timeline", lambda *a: work.append("timeline"))
         monkeypatch.setattr(cli.analysis, "run_failure_sweep",
@@ -183,7 +184,7 @@ class TestRunCommand:
         assert result.exit_code == 1, result.output
         assert f"Error: cannot create output directory {out}: " in result.output
         assert taken.read_text() == ""
-        assert work == []
+        assert work == ["timeline" if command == "timeline" else "sweep"]
 
     @pytest.mark.parametrize("error", [OSError(28, "No space left on device"),
                                        RuntimeError("fault in the trace encoder")])
@@ -387,6 +388,8 @@ class TestRunCommand:
         result = runner.invoke(main, [command, path, "--output-dir", str(tmp_path / "out")])
         assert result.exit_code == 1, result.output
         assert "Error: scheme.k=2 exceeds max-flow value 1 of flows[1] 'S->D'" in result.output
+        # the error comes once flows[0] compiled, yet no directory is made
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command", ["run", "verify"])
     def test_node_sweep_with_no_node_to_fail_names_the_field(self, runner, tmp_path, command):
@@ -498,6 +501,32 @@ class TestVerifyCommand:
                                      str(outdir))[1]
         assert [(c.failure, c.rounds_as_expected) for c in report.cases] == [
             ("node:2", None), ("node:3", None)]
+
+    @pytest.mark.parametrize("command", ["run", "verify"])
+    def test_run_lists_no_case_and_verify_builds_none(self, runner, tmp_path, monkeypatch,
+                                                      command):
+        """``run`` streams the cases without reading ``cases`` or
+        ``sorted_cases``, and ``verify`` builds no case at all."""
+        config = _all_pairs_sweep({"kind": "torus", "a": 4, "b": 4}, {"kind": "greedy"})
+        path = write_config(tmp_path, "torus44.json", config)
+        result = runner.invoke(main, [command, path, "--output-dir", str(tmp_path / "free")])
+        assert result.exit_code == 0, result.output
+
+        def refuse(*args):
+            raise AssertionError(f"{command} built a list of every case")
+
+        monkeypatch.setattr(analysis._SweptReport, "cases", property(refuse))
+        monkeypatch.setattr(analysis._SweptReport, "sorted_cases", property(refuse))
+        if command == "verify":
+            monkeypatch.setattr(analysis._FlowCases, "expand", refuse)
+        result = runner.invoke(main, [command, path, "--output-dir", str(tmp_path / "guarded")])
+        assert result.exit_code == 0, result.output
+        for file in (tmp_path / "free").iterdir():
+            assert (tmp_path / "guarded" / file.name).read_bytes() == file.read_bytes()
+        if command == "verify":
+            assert json.loads((tmp_path / "guarded" / "verify.json").read_text()) == {
+                "cases": 7680, "frr_precondition_failures": 64, "violations": 0,
+                "violations_by_kind": {}}
 
     def test_partition_without_redundancy_reports_frr_failures(self, runner, tmp_path):
         cfg = {
