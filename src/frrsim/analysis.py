@@ -27,7 +27,7 @@ import operator
 from array import array
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Mapping, Sequence, TextIO
+from typing import Callable, Iterable, Iterator, Mapping, Sequence, TextIO, TypeVar
 
 from .forwarding import ForwardingState, Outcome, Trace
 from .shortcut import FixpointResult, revert_changes, shortcut_fixpoint
@@ -39,8 +39,11 @@ from .topology import (
     canon_link,
     residual_adjacency,
     shortest_path_length,
-    shortest_route,
+    shortest_routes,
 )
+
+
+_T = TypeVar("_T")
 
 
 def stretch(trace: Trace, topology: Topology, failures: FailureSet, flow: Flow) -> float:
@@ -122,6 +125,8 @@ class CaseResult:
 
 # (flow, failure): the order of every run artefact
 _sort_key = operator.attrgetter("flow_id", "failure")
+# a (case, failure label) pair's label
+_label = operator.itemgetter(1)
 
 
 @dataclass
@@ -139,6 +144,10 @@ class SweepReport:
     shares the template's ``fixpoint``, which is read-only, as every
     ``fixpoint`` is. A change to one of these cases is lost on the next
     read, so callers change such copies, never the report.
+
+    The writers read ``iter_labelled_cases()`` instead, which copies
+    nothing: a reused case is its template under the case's own label
+    wherever the two print alike.
     """
 
     cases: list[CaseResult]
@@ -160,6 +169,14 @@ class SweepReport:
         """The cases in (flow, failure) order, which is the order of every
         run artefact; ties keep the order of ``cases``."""
         return iter(sorted(self.cases, key=_sort_key))
+
+    def iter_labelled_cases(self) -> Iterator[tuple[CaseResult, str]]:
+        """``(case, failure label)`` of each case, in ``iter_sorted_cases()``
+        order, for writers only: every field of the case but ``failure`` and
+        ``rounds_as_expected`` prints as the labelled case's, and the case
+        is the report's own object, so it must not be changed. Here each
+        case is itself, with its own ``failure``."""
+        return ((case, case.failure) for case in self.iter_sorted_cases())
 
     @property
     def sorted_cases(self) -> list[CaseResult]:
@@ -195,20 +212,33 @@ class _FlowCases:
         self.fresh: list[CaseResult] = []
         self.fresh_at, self.reused = array("i"), array("i")
 
-    def expand(self, labels: Sequence[str], checked: Sequence[bool | None]) -> list[CaseResult]:
-        """New copies of the flow's cases, in sweep order: of each fresh case,
-        and of the template for each reused index, labelled ``labels[index]``
-        with ``rounds_as_expected`` ``checked[index]``."""
-        cases = {index: replace(case, violations=list(case.violations))
-                 for index, case in zip(self.fresh_at, self.fresh)}
-        if self.reused:
-            fields = {name: value for name, value in vars(self.template).items()
+    def walk(self, order: Iterable[int], labels: Sequence[str], checked: Sequence[bool | None],
+             shared: bool) -> Iterator[tuple[CaseResult, str]]:
+        """``(case, labels[index])`` of the flow's case at each index in
+        ``order`` that has one. The case is a new copy of a fresh case, or a
+        new copy of the template with the reused case's own fields, its
+        ``rounds_as_expected`` ``checked[index]``. With ``shared``, a fresh
+        case is itself instead, and so is the template wherever the reused
+        case's stretch is the template's."""
+        fresh = dict(zip(self.fresh_at, self.fresh))
+        template = self.template
+        reused = dict(zip(self.reused, self.stretches or itertools.repeat(
+            template and template.stretch_before)))
+        if reused:
+            fields = {name: value for name, value in vars(template).items()
                       if name not in _OWN_FIELDS}
-            stretches = self.stretches or itertools.repeat(self.template.stretch_before)
-            for index, ratio in zip(self.reused, stretches):
-                cases[index] = CaseResult(**fields, failure=labels[index], stretch_before=ratio,
-                                          stretch_after=ratio, rounds_as_expected=checked[index])
-        return [cases[index] for index in sorted(cases)]
+        for index in order:
+            if (case := fresh.get(index)) is not None:
+                yield (case if shared else replace(case, violations=list(case.violations)),
+                       labels[index])
+            elif (ratio := reused.get(index)) is not None:
+                yield (template if shared and ratio == template.stretch_before else CaseResult(
+                    **fields, failure=labels[index], stretch_before=ratio, stretch_after=ratio,
+                    rounds_as_expected=checked[index]), labels[index])
+
+    def expand(self, labels: Sequence[str], checked: Sequence[bool | None]) -> list[CaseResult]:
+        """New copies of the flow's cases, in sweep order (see ``walk``)."""
+        return [case for case, _ in self.walk(range(len(labels)), labels, checked, False)]
 
 
 class _SweptReport(SweepReport):
@@ -235,16 +265,27 @@ class _SweptReport(SweepReport):
         return self._frr_failures
 
     def iter_sorted_cases(self) -> Iterator[CaseResult]:
-        """Expanded one flow id at a time; flows sharing an id (which the CLI
-        rejects) are expanded together, so the order is the sorted one."""
+        return (case for case, _ in self._walk(shared=False))
+
+    def iter_labelled_cases(self) -> Iterator[tuple[CaseResult, str]]:
+        """A fresh case is itself, and a reused case is the template
+        itself unless its stretch differs, when it is built as in
+        ``cases``; so the template's ``failure`` is not its label."""
+        return self._walk(shared=True)
+
+    def _walk(self, shared: bool) -> Iterator[tuple[CaseResult, str]]:
+        """Each flow's ``walk`` in the sweep's label order, one flow id at a
+        time; the walks of flows that share an id (which the CLI rejects)
+        are merged by label, in flow order on a tie, so the order is that of
+        a stable sort of ``cases``."""
+        labels = self._labels
+        order = sorted(range(len(labels)), key=labels.__getitem__)
         by_id: dict[str, list[_FlowCases]] = {}
         for flow in self._flows:
             by_id.setdefault(flow.flow_id, []).append(flow)
         for flow_id in sorted(by_id):
-            cases = [case for flow in by_id[flow_id]
-                     for case in flow.expand(self._labels, self._checked)]
-            cases.sort(key=_sort_key)
-            yield from cases
+            yield from heapq.merge(*(flow.walk(order, labels, self._checked, shared)
+                                     for flow in by_id[flow_id]), key=_label)
 
 
 def _promises_one_round(failures: FailureSet) -> bool:
@@ -485,10 +526,10 @@ def json_fields(records: Sequence, depth: int) -> list[str]:
 WRITE_CHUNK = 256
 
 
-def in_chunks(cases: Iterable[CaseResult]) -> Iterator[list[CaseResult]]:
-    """``cases`` as consecutive lists of ``WRITE_CHUNK`` cases (the last may be shorter)."""
-    cases = iter(cases)
-    while chunk := list(itertools.islice(cases, WRITE_CHUNK)):
+def in_chunks(items: Iterable[_T]) -> Iterator[list[_T]]:
+    """``items`` as consecutive lists of ``WRITE_CHUNK`` (the last may be shorter)."""
+    items = iter(items)
+    while chunk := list(itertools.islice(items, WRITE_CHUNK)):
         yield chunk
 
 
@@ -501,14 +542,72 @@ def _written(write: Callable[[TextIO], None], file: TextIO | None) -> str | None
     return buf.getvalue()
 
 
+class Spliced:
+    """The text of each ``(case, label)`` pair of ``iter_labelled_cases()``:
+    the case's text in two halves around its ``failure`` value, from
+    ``render``, with the label's text from ``encode`` between them.
+
+    Each distinct case object of a flow is rendered once, and each label
+    encoded once, however many pairs hold them. Called one chunk of pairs
+    at a time, in order; only the halves of the last flow seen are kept
+    between chunks, since a case serves one flow.
+    """
+
+    def __init__(self, render: Callable[[list[CaseResult]], Iterable[Sequence[str]]],
+                 encode: Callable[[str], str]):
+        self._render, self._encode = render, encode
+        self._labels: dict[str, str] = {}
+        # id(case) -> (case, head, tail); holding the case keeps its id its own
+        self._halves: dict[int, tuple[CaseResult, str, str]] = {}
+
+    def __call__(self, pairs: Sequence[tuple[CaseResult, str]]) -> list[str]:
+        """The texts of a non-empty chunk of pairs."""
+        labels, halves, texts = self._labels, self._halves, []
+        new = list({id(case): case for case, _ in pairs if id(case) not in halves}.values())
+        for case, (head, tail) in zip(new, self._render(new)):
+            halves[id(case)] = case, head, tail
+        for case, label in pairs:
+            if (text := labels.get(label)) is None:
+                text = labels[label] = self._encode(label)
+            _, head, tail = halves[id(case)]
+            texts.append(head + text + tail)
+        last = pairs[-1][0].flow_id
+        if any(case.flow_id != last for case, _, _ in halves.values()):
+            self._halves = {key: entry for key, entry in halves.items()
+                            if entry[0].flow_id == last}
+        return texts
+
+
+def json_string(text: str) -> str:
+    """``text`` as a JSON string, as every run artefact prints it."""
+    return _encoder(0).encode(text)
+
+
 CSV_HEADER = ",".join(ROW_FIELDS) + "\n"
 
 
-def csv_rows(cases: Sequence[CaseResult]) -> str:
-    """report.csv's row of each case."""
+def _csv_lines(rows: Iterable[Iterable]) -> list[str]:
+    """report.csv's line of each row."""
     buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerows(case.to_row().values() for case in cases)
-    return buf.getvalue()
+    writer = csv.writer(buf, lineterminator="\n")  # holds a 128 KiB buffer while it lives
+    lines = []
+    for row in rows:
+        buf.seek(0)
+        buf.truncate()
+        writer.writerow(row)
+        lines.append(buf.getvalue())
+    return lines
+
+
+def csv_rows() -> Spliced:
+    """report.csv's row of each pair. The csv module quotes each field on
+    its own, so a row splits cleanly around the ``failure`` field."""
+    def render(cases: list[CaseResult]) -> Iterator[tuple[str, str]]:
+        rows = [case.to_row().values() for case in cases]
+        lines = _csv_lines(part for flow, _, *rest in rows for part in ([flow, ""], ["", *rest]))
+        return zip([head[:-1] for head in lines[::2]], lines[1::2])
+
+    return Spliced(render, lambda label: _csv_lines([[label, ""]])[0][:-2])
 
 
 def report_csv(report: SweepReport, file: TextIO | None = None) -> str | None:
@@ -518,20 +617,27 @@ def report_csv(report: SweepReport, file: TextIO | None = None) -> str | None:
     """
     def write(out: TextIO) -> None:
         out.write(CSV_HEADER)
-        for chunk in in_chunks(report.iter_sorted_cases()):
-            out.write(csv_rows(chunk))
+        rows = csv_rows()
+        for chunk in in_chunks(report.iter_labelled_cases()):
+            out.write("".join(rows(chunk)))
 
     return _written(write, file)
 
 
-def case_records(cases: Sequence[CaseResult]) -> list[str]:
-    """report.json's record of each case: its row, error and violations."""
-    fields = json_fields([{**case.to_row(), "error": case.error} for case in cases], 2)
-    violations = json_fields([case.violations for case in cases], 3)
-    return [  # "violations" sorts after every other field
-        json_items([f, f'"violations": {json_items([v], 3)}'], 2, "{}")
-        for f, v in zip(fields, violations)
-    ]
+def case_records() -> Spliced:
+    """report.json's record of each pair: its row, error and violations."""
+    def render(cases: list[CaseResult]) -> Iterator[list[str]]:
+        errors = json_fields([{"error": case.error} for case in cases], 2)
+        rows = json_fields([{k: v for k, v in case.to_row().items() if k != "failure"}
+                            for case in cases], 2)
+        violations = json_fields([case.violations for case in cases], 3)
+        for error, row, v in zip(errors, rows, violations):
+            # "failure" sorts between "error" and the other fields of the row,
+            # "violations" after them all; encoded JSON never holds a raw NUL
+            yield json_items([error, '"failure": \0', row, f'"violations": {json_items([v], 3)}'],
+                             2, "{}").split("\0")
+
+    return Spliced(render, json_string)
 
 
 def report_json_frame(report: SweepReport) -> tuple[str, str]:
@@ -552,9 +658,9 @@ def report_json(report: SweepReport, file: TextIO | None = None) -> str | None:
 
     def write(out: TextIO) -> None:
         out.write(head)
-        records = JsonList(out, 1)
-        for chunk in in_chunks(report.iter_sorted_cases()):
-            records.write(case_records(chunk))
+        records, text = JsonList(out, 1), case_records()
+        for chunk in in_chunks(report.iter_labelled_cases()):
+            records.write(text(chunk))
         records.close()
         out.write(tail)
 
@@ -863,11 +969,16 @@ def build_flow_plan(
     flow: Flow,
     pre_trace: Trace,
     fixpoint: FixpointResult,
+    routes: Callable[[str, str], tuple[str, ...] | None] | None = None,
 ) -> FlowTimelinePlan:
-    """Timeline plan for a primary flow from its simulated traces."""
+    """Timeline plan for a primary flow from its simulated traces.
+
+    The converged route is ``shortest_route`` under ``failures``, taken from
+    ``routes`` when given: ``shortest_routes(topology, failures)``, which a
+    caller planning many flows builds once."""
     pre_edges = path_edges(pre_trace.node_path())
     affected = any(failures.link_down(u, v) for u, v in pre_edges)
-    converged = shortest_route(topology, failures, flow.source, flow.destination)
+    converged = (routes or shortest_routes(topology, failures))(flow.source, flow.destination)
     return FlowTimelinePlan(
         flow_id=flow.flow_id,
         pre_route=pre_edges,

@@ -15,12 +15,14 @@ the same config produce byte-identical outputs.
 from __future__ import annotations
 
 import contextlib
+import errno
 import json
 import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
+from typing import Iterator
 
 import click
 
@@ -28,7 +30,8 @@ from . import analysis, frr
 from .forwarding import ForwardingState, Trace
 from .forwarding import route as route_packet
 from .shortcut import shortcut_fixpoint
-from .topology import FailureSet, Flow, Topology, build_topology, edge_connectivity
+from .topology import (FailureSet, Flow, Topology, build_topology, edge_connectivity,
+                       shortest_routes)
 
 ENV_OUTPUT_DIR = "FRRSIM_OUTPUT_DIR"
 
@@ -282,22 +285,35 @@ class SchemeCompiler:
 
 
 def _resolve_output_dir(config: ScenarioConfig, flag_value: str | None) -> Path:
-    out = flag_value or os.environ.get(ENV_OUTPUT_DIR) or config.output_dir or "out"
-    path = Path(out)
+    """The output directory, refused before any work if a file is in its
+    way: the first of it and its ancestors that exists must be a directory.
+    It is made by ``_make_output_dir`` once the work is done."""
+    path = Path(flag_value or os.environ.get(ENV_OUTPUT_DIR) or config.output_dir or "out")
+    existing = next((p for p in (path, *path.parents) if p.exists()), None)
+    if existing is not None and not existing.is_dir():
+        code = errno.EEXIST if existing == path else errno.ENOTDIR
+        raise click.ClickException(
+            f"cannot create output directory {path}: {os.strerror(code)}")
+    return path
+
+
+def _make_output_dir(path: Path) -> Path:
     try:
         path.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise click.ClickException(
-            f"cannot create output directory {out}: {exc.strerror or exc}") from None
+            f"cannot create output directory {path}: {exc.strerror or exc}") from None
     return path
 
 
 def _load_and_sweep(config_path: str, fail: str | None, scheme: str | None,
                     output_dir: str | None) -> tuple[Path, analysis.SweepReport]:
-    """Parse the config, run the failure sweep and make the output directory
-    (only once every flow compiled, so a config that fails makes none)."""
+    """Parse the config, check the output directory, run the failure sweep
+    and make the directory (only once every flow compiled, so a config that
+    fails makes none)."""
     with _named("", click.ClickException):
         config = ScenarioConfig.load(config_path, fail, scheme)
+        outdir = _resolve_output_dir(config, output_dir)
         topology, flows, failures = config.topology, config.flows, config.failures
         if isinstance(failures, FailureSet):
             failure_sets = [failures]
@@ -311,7 +327,7 @@ def _load_and_sweep(config_path: str, fail: str | None, scheme: str | None,
                                   "every node is a flow endpoint")
         report = analysis.run_failure_sweep(
             topology, SchemeCompiler(config).compile, flows, failure_sets)
-        return _resolve_output_dir(config, output_dir), report
+        return _make_output_dir(outdir), report
 
 
 _AUDIT = json.JSONEncoder(sort_keys=True)
@@ -360,23 +376,26 @@ def _write_run_outputs(outdir: Path, report: analysis.SweepReport) -> None:
     """Write traces.json, audit.jsonl, report.csv and report.json.
 
     The four files are written together from one pass over
-    ``report.iter_sorted_cases()``, ``WRITE_CHUNK`` cases at a time, so no
-    list of every case is held. Cases reuse one ``FixpointResult`` wherever
-    the failure misses the failure-free walk, so each distinct fixpoint's
-    traces are serialised once per flow and spliced into the record of
-    every case that holds it. Reuse never crosses flows, so that memo is
-    emptied whenever the flow changes.
+    ``report.iter_labelled_cases()``, ``WRITE_CHUNK`` (case, label) pairs at
+    a time, so no list of every case is held. A swept report yields a
+    reused case as its flow's template under the case's own label, so each
+    distinct case object's traces.json doc, report.csv row and report.json
+    record is rendered once per flow, in two halves around its ``failure``
+    value, and each pair is written as the halves with its encoded label
+    spliced in (``analysis.Spliced``). Cases also share one
+    ``FixpointResult`` wherever the failure misses the failure-free walk, so
+    each distinct fixpoint's traces are serialised once per flow and spliced
+    into the doc of every case that holds it. Reuse never crosses flows, so
+    both memos are emptied whenever the flow changes.
     """
     traces: dict[int, str] = {}  # id(fixpoint) -> its traces list, two levels deep
     flow_id = None
 
-    def trace_docs(chunk: list[analysis.CaseResult]) -> list[str]:
+    def trace_docs(cases: list[analysis.CaseResult]) -> Iterator[list[str]]:
         nonlocal flow_id
-        heads = analysis.json_fields(
-            [{"failure": c.failure, "flow": c.flow_id, "rounds": c.rounds} for c in chunk], 1)
-        verdicts = analysis.json_fields([{"verdict": c.verdict} for c in chunk], 1)
-        docs = []
-        for case, head, verdict in zip(chunk, heads, verdicts):
+        heads = analysis.json_fields([{"flow": c.flow_id, "rounds": c.rounds} for c in cases], 1)
+        verdicts = analysis.json_fields([{"verdict": c.verdict} for c in cases], 1)
+        for case, head, verdict in zip(cases, heads, verdicts):
             if case.flow_id != flow_id:
                 traces.clear()
                 flow_id = case.flow_id
@@ -386,29 +405,32 @@ def _write_run_outputs(outdir: Path, report: analysis.SweepReport) -> None:
             elif (fragment := traces.get(id(fp))) is None:
                 fragment = traces[id(fp)] = analysis.json_items(
                     [_trace_json(t) for t in fp.traces], 2)
-            docs.append(analysis.json_items([head, f'"traces": {fragment}', verdict], 1, "{}"))
-        return docs
+            # "failure" sorts first; encoded JSON never holds a raw NUL
+            yield analysis.json_items(['"failure": \0', head, f'"traces": {fragment}', verdict],
+                                      1, "{}").split("\0")
 
-    def audit_lines(chunk: list[analysis.CaseResult]) -> str:
+    def audit_lines(chunk: list[tuple[analysis.CaseResult, str]]) -> str:
         return "".join([
-            _AUDIT.encode({"flow": case.flow_id, "failure": case.failure,
+            _AUDIT.encode({"flow": case.flow_id, "failure": label,
                            "round": round_no, **change.to_json_dict()}) + "\n"
-            for case in chunk if case.fixpoint
+            for case, label in chunk if case.fixpoint
             for round_no, changes in enumerate(case.fixpoint.changes_per_round, start=1)
             for change in changes
         ])
 
     json_head, json_tail = analysis.report_json_frame(report)
+    doc_text = analysis.Spliced(trace_docs, analysis.json_string)
+    row_text, record_text = analysis.csv_rows(), analysis.case_records()
     names = ("traces.json", "audit.jsonl", "report.csv", "report.json")  # report.json last
     with _artefacts(outdir, *names) as (traces_file, audit_file, csv_file, json_file):
         docs, records = analysis.JsonList(traces_file, 0), analysis.JsonList(json_file, 1)
         csv_file.write(analysis.CSV_HEADER)
         json_file.write(json_head)
-        for chunk in analysis.in_chunks(report.iter_sorted_cases()):
-            docs.write(trace_docs(chunk))
+        for chunk in analysis.in_chunks(report.iter_labelled_cases()):
+            docs.write(doc_text(chunk))
             audit_file.write(audit_lines(chunk))
-            csv_file.write(analysis.csv_rows(chunk))
-            records.write(analysis.case_records(chunk))
+            csv_file.write("".join(row_text(chunk)))
+            records.write(record_text(chunk))
         docs.close()
         traces_file.write("\n")
         records.close()
@@ -470,8 +492,9 @@ def cmd_timeline(config_path: str, output_dir: str | None):
     """Emit the three-regime throughput timeline CSV for a scenario."""
     with _named("", click.ClickException):
         config = ScenarioConfig.load(config_path)
-        timeline = build_timeline(config)  # a config the timeline cannot run makes no directory
         outdir = _resolve_output_dir(config, output_dir)
+        timeline = build_timeline(config)  # a config the timeline cannot run makes no directory
+        _make_output_dir(outdir)
     with _artefacts(outdir, "timeline.csv") as (file,):
         timeline.write_csv(file)
     click.echo(f"timeline written to {outdir / 'timeline.csv'}")
@@ -487,12 +510,13 @@ def build_timeline(config: ScenarioConfig) -> analysis.Timeline:
     topology, failures = config.topology, config.failures
     background = _background_plans(config)
     compiler = SchemeCompiler(config)
+    routes = shortest_routes(topology, failures)
     plans = []
     for flow in config.flows:
         state = compiler.compile(flow)
         pre_trace = route_packet(state, topology, FailureSet.none(), flow)
         fp = shortcut_fixpoint(state, topology, failures, flow)
-        plans.append(analysis.build_flow_plan(topology, failures, flow, pre_trace, fp))
+        plans.append(analysis.build_flow_plan(topology, failures, flow, pre_trace, fp, routes))
     return analysis.convergence_timeline(plans + background, config.capacities, **config.timing)
 
 

@@ -11,7 +11,7 @@ import json
 import random
 import re
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 
 def canon_link(a: str, b: str) -> tuple[str, str]:
@@ -230,18 +230,34 @@ def shortest_route(
     topology: Topology, failures: FailureSet, a: str, b: str
 ) -> tuple[str, ...] | None:
     """Lexicographically smallest shortest residual path, or None."""
+    return shortest_routes(topology, failures)(a, b)
+
+
+def shortest_routes(
+    topology: Topology, failures: FailureSet
+) -> Callable[[str, str], tuple[str, ...] | None]:
+    """``shortest_route`` under one failure set, as a function of the two
+    endpoints. The residual graph is built once, and the distances to a
+    destination once per destination."""
     adj = residual_adjacency(topology, failures)
-    if a not in adj or b not in adj:
-        return None
-    dist = bfs_distances(adj, b)
-    if a not in dist:
-        return None
-    path = [a]
-    cur = a
-    while cur != b:
-        cur = min(v for v in adj[cur] if dist.get(v, -1) == dist[cur] - 1)
-        path.append(cur)
-    return tuple(path)
+    distances: dict[str, dict[str, int]] = {}
+
+    def route(a: str, b: str) -> tuple[str, ...] | None:
+        if a not in adj or b not in adj:
+            return None
+        if b not in distances:
+            distances[b] = bfs_distances(adj, b)
+        dist = distances[b]
+        if a not in dist:
+            return None
+        path = [a]
+        cur = a
+        while cur != b:
+            cur = min(v for v in adj[cur] if dist.get(v, -1) == dist[cur] - 1)
+            path.append(cur)
+        return tuple(path)
+
+    return route
 
 
 def unit_max_flow(

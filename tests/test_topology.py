@@ -4,6 +4,7 @@ import itertools
 import json
 import random
 
+import networkx as nx
 import pytest
 
 from frrsim import (
@@ -13,6 +14,7 @@ from frrsim import (
     edge_connectivity,
     shortest_path_length,
     shortest_route,
+    topology,
 )
 from frrsim.topology import bfs_distances, unit_max_flow
 
@@ -197,6 +199,22 @@ class TestShortestPaths:
         assert shortest_route(figure1, FailureSet.none(), "S", "D") == (
             "S", "S1", "S2", "S4", "D",
         )
+
+    def test_shortest_routes_run_one_bfs_per_destination(self, monkeypatch):
+        """Every pair's route is the smallest of its shortest residual paths
+        (networkx's, sorted), from one BFS per destination reached."""
+        t = build_topology("torus(4,4)")
+        failures = FailureSet.of(links=[t.links[0], t.links[5]], nodes=["2_2"])
+        searched = []
+        monkeypatch.setattr(topology, "bfs_distances", lambda adj, source: (
+            searched.append(source) or bfs_distances(adj, source)))
+        routes = topology.shortest_routes(t, failures)
+        graph = nx.Graph(link for link in t.links if not failures.link_down(*link))
+        for b in t.nodes:
+            for a in t.nodes:
+                expected = None if "2_2" in (a, b) else min(nx.all_shortest_paths(graph, a, b))
+                assert routes(a, b) == (expected and tuple(expected))
+        assert sorted(searched) == sorted(n for n in t.nodes if n != "2_2")
 
 
 class TestFailureSet:

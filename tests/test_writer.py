@@ -22,9 +22,11 @@ from click.testing import CliRunner
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from frrsim import (CaseResult, FixpointResult, Hop, Outcome, RuleChange, SweepReport, Trace,
-                    analysis, cli)
+from frrsim import (CaseResult, FixpointResult, Hop, Outcome, RuleChange, SweepReport, Topology,
+                    Trace, analysis, build_topology, cli, enumerate_link_failures,
+                    enumerate_node_failures, run_failure_sweep)
 
+from test_analysis import SCHEME_COMPILERS, all_pairs
 from test_golden import GENERATED, _all_pairs_sweep
 
 RUN_FILES = ("traces.json", "audit.jsonl", "report.csv", "report.json")
@@ -274,6 +276,60 @@ def test_chunks_that_split_a_shared_fixpoint_write_the_same_bytes(greedy_hypercu
     assert any(a.fixpoint is not None and a.fixpoint is b.fixpoint for a, b in last_and_first)
     assert any(a.flow_id != b.flow_id for a, b in last_and_first)
     assert_same_artefacts(greedy_hypercube3)
+
+
+def node_sweep_with_differing_stretches() -> SweepReport:
+    """Arborescences on a random graph, every ordered pair x every node
+    failure: some templates have stretch 1.5, and some of their reused cases
+    a stretch of their own, where the failed node held every shortest path."""
+    t = build_topology({"kind": "random", "n": 8, "p": 0.45, "seed": 2,
+                        "min_edge_connectivity": 2})
+    report = run_failure_sweep(t, SCHEME_COMPILERS["arborescence"](t), all_pairs(t),
+                               enumerate_node_failures(t))
+    templates = [flow for flow in report._flows if flow.reused]
+    assert any(flow.template.stretch_before != 1.0 for flow in templates)
+    assert any(ratio != flow.template.stretch_before
+               for flow in templates if flow.stretches is not None for ratio in flow.stretches)
+    return report
+
+
+def awkward_link_and_node_sweep() -> SweepReport:
+    """Greedy on torus(3,3) with node names that need escaping in JSON and
+    quoting in CSV, every ordered pair x every link and every node failure."""
+    torus = build_topology("torus(3,3)")
+    names = dict(zip(torus.nodes, ['a"b', "c,d", "e\nf", "g\\h", "i\tj", "\x01k", "é中",
+                                   "\U0001f600", "m n"]))
+    t = Topology(names.values(), [(names[a], names[b]) for a, b in torus.links])
+    return run_failure_sweep(t, SCHEME_COMPILERS["greedy"](t), all_pairs(t),
+                             enumerate_link_failures(t) + enumerate_node_failures(t))
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 256])
+@pytest.mark.parametrize("build", [node_sweep_with_differing_stretches,
+                                   awkward_link_and_node_sweep])
+def test_swept_reports_equal_the_reference_writer(build, chunk, monkeypatch):
+    monkeypatch.setattr(analysis, "WRITE_CHUNK", chunk)
+    assert_same_artefacts(build())
+
+
+def test_writing_builds_no_reused_case(greedy_hypercube3, tmp_path, monkeypatch):
+    """A reused case is written as its template's text with its own label,
+    so only the fresh cases and the reused cases with a stretch of their
+    own may be built, not one case per failure set."""
+    flows = greedy_hypercube3._flows
+    fresh = sum(len(flow.fresh) for flow in flows)
+    own_stretch = sum(ratio != flow.template.stretch_before
+                      for flow in flows if flow.stretches is not None for ratio in flow.stretches)
+    assert greedy_hypercube3.total_cases > 3 * (fresh + own_stretch)
+
+    built = []
+    init, expand = CaseResult.__init__, analysis._FlowCases.expand
+    monkeypatch.setattr(CaseResult, "__init__",
+                        lambda self, *a, **k: built.append(self) or init(self, *a, **k))
+    monkeypatch.setattr(analysis._FlowCases, "expand",
+                        lambda self, *a: built.append(self) or expand(self, *a))
+    cli._write_run_outputs(tmp_path, greedy_hypercube3)
+    assert len(built) <= fresh + own_stretch
 
 
 def test_writer_memory_is_a_fraction_of_what_it_writes(tmp_path):
