@@ -123,65 +123,122 @@ class CaseResult:
         }
 
 
-# (flow, failure): the order of every run artefact
-_sort_key = operator.attrgetter("flow_id", "failure")
-# a (case, failure label) pair's label
-_label = operator.itemgetter(1)
+class _FlowCases:
+    """One flow's cases in a report, by index: the case objects ``held`` at
+    the ascending indices ``held_at``, and ``template``, the flow's case
+    with nothing failed, at each ascending index in ``reused``. A swept
+    report's indices are those of its failure sets, a list-built one's those
+    of the list it was given."""
+
+    __slots__ = ("flow_id", "template", "held", "held_at", "reused")
+
+    def __init__(self, flow_id: str, template: CaseResult | None = None):
+        self.flow_id, self.template = flow_id, template
+        self.held: list[CaseResult] = []
+        self.held_at, self.reused = array("i"), array("i")
+
+    def hold(self, index: int, case: CaseResult) -> None:
+        self.held.append(case)
+        self.held_at.append(index)
+
+    def walk(self, labels: Sequence[str], checked: Sequence[bool | None]) -> list[tuple]:
+        """``(index, case, label, rounds_as_expected)`` of each of the flow's
+        cases, in index order: a held case under its own ``failure`` and
+        ``rounds_as_expected``, the template under ``labels[index]`` and
+        ``checked[index]``. No two entries share an index, so the sort never
+        compares cases."""
+        entries = [(index, case, case.failure, case.rounds_as_expected)
+                   for index, case in zip(self.held_at, self.held)]
+        if self.reused:
+            template = self.template
+            entries += [(index, template, labels[index], checked[index]) for index in self.reused]
+            entries.sort()
+        return entries
 
 
-@dataclass
+def _copies(entries: Iterable[tuple]) -> Iterator[CaseResult]:
+    """A new case for each entry of ``_FlowCases.walk``: its case under the
+    entry's label and ``rounds_as_expected``, with a ``violations`` list of
+    its own and the same ``fixpoint``."""
+    last = None
+    for _, case, label, expected in entries:
+        if case is not last:  # a template's entries often follow one another
+            last, fields = case, {name: value for name, value in vars(case).items()
+                                  if name not in ("failure", "rounds_as_expected", "violations")}
+        yield CaseResult(**fields, failure=label, rounds_as_expected=expected,
+                         violations=list(case.violations))
+
+
 class SweepReport:
     """Aggregate of a failure sweep; violations are expected to be zero.
 
-    A report built as ``SweepReport(cases, violations_by_kind)`` holds that
-    list: ``cases`` is it, and the counts are taken from it on each read.
-    The report ``run_failure_sweep`` returns keeps, per flow, the cases that
-    ran their own fixpoint and the indices of the failure sets that reuse
-    the flow's failure-free template, and counts the cases as the sweep
-    runs. Its ``cases`` is built on each read and never cached, so a held
-    report holds no copy of a reused case. Each read makes new
-    ``CaseResult``s, each with its own ``violations`` list; a reused case
-    shares the template's ``fixpoint``, which is read-only, as every
-    ``fixpoint`` is. A change to one of these cases is lost on the next
-    read, so callers change such copies, never the report.
+    The cases are kept per flow (``_FlowCases``): the case objects the
+    report holds, and the indices of the cases that reuse the flow's
+    template. ``SweepReport(cases, violations_by_kind)`` holds each case it
+    is given, one record per run of consecutive cases with one ``flow_id``;
+    ``run_failure_sweep`` fills a report as it runs.
 
-    The writers read ``iter_labelled_cases()`` instead, which copies
-    nothing: a reused case is its template under the case's own label
-    wherever the two print alike.
+    ``cases`` (in the order given, or sweep order), ``iter_sorted_cases()``
+    and ``sorted_cases`` build new copies on every read, each with its own
+    ``violations`` list, so a change to one never reaches the report. A copy
+    shares its case's ``fixpoint``, which is read-only, as every
+    ``fixpoint`` is. The writers read ``iter_labelled_cases()`` instead,
+    which copies nothing.
     """
 
-    cases: list[CaseResult]
-    violations_by_kind: dict[str, int]
-
-    @property
-    def total_cases(self) -> int:
-        return len(self.cases)
-
-    @property
-    def frr_failures(self) -> int:
-        return sum(1 for c in self.cases if c.verdict == "frr_failed")
+    def __init__(self, cases: Iterable[CaseResult], violations_by_kind: dict[str, int]):
+        self.violations_by_kind = violations_by_kind
+        self.total_cases = self.frr_failures = 0
+        self._flows: list[_FlowCases] = []
+        # the label and rounds check of each index, read for reused cases only
+        self._labels: Sequence[str] = ()
+        self._checked: Sequence[bool | None] = ()
+        for index, case in enumerate(cases):
+            if not self._flows or self._flows[-1].flow_id != case.flow_id:
+                self._flows.append(_FlowCases(case.flow_id))
+            self._flows[-1].hold(index, case)
+            self.total_cases += 1
+            self.frr_failures += case.verdict == "frr_failed"
 
     @property
     def total_violations(self) -> int:
         return sum(self.violations_by_kind.values())
 
-    def iter_sorted_cases(self) -> Iterator[CaseResult]:
-        """The cases in (flow, failure) order, which is the order of every
-        run artefact; ties keep the order of ``cases``."""
-        return iter(sorted(self.cases, key=_sort_key))
+    @property
+    def cases(self) -> list[CaseResult]:
+        """New copies of the cases, flow by flow, each flow's in index order."""
+        return list(_copies(entry for flow in self._flows
+                            for entry in flow.walk(self._labels, self._checked)))
 
-    def iter_labelled_cases(self) -> Iterator[tuple[CaseResult, str]]:
-        """``(case, failure label)`` of each case, in ``iter_sorted_cases()``
-        order, for writers only: every field of the case but ``failure`` and
-        ``rounds_as_expected`` prints as the labelled case's, and the case
-        is the report's own object, so it must not be changed. Here each
-        case is itself, with its own ``failure``."""
-        return ((case, case.failure) for case in self.iter_sorted_cases())
+    def _sorted_walk(self) -> Iterator[tuple]:
+        """The entries of every flow's ``walk`` in (flow, failure) order, the
+        order of every run artefact: one flow id at a time, that id's
+        entries, collected in flow order and then index order, stably sorted
+        by label. This is the order of a stable sort of ``cases``."""
+        by_id: dict[str, list[_FlowCases]] = {}
+        for flow in self._flows:
+            by_id.setdefault(flow.flow_id, []).append(flow)
+        for flow_id in sorted(by_id):
+            yield from sorted((entry for flow in by_id[flow_id]
+                               for entry in flow.walk(self._labels, self._checked)),
+                              key=operator.itemgetter(2))
+
+    def iter_sorted_cases(self) -> Iterator[CaseResult]:
+        """``cases`` in (flow, failure) order; ties keep the order of ``cases``."""
+        return _copies(self._sorted_walk())
 
     @property
     def sorted_cases(self) -> list[CaseResult]:
         """``iter_sorted_cases()`` as a list, built on each read."""
         return list(self.iter_sorted_cases())
+
+    def iter_labelled_cases(self) -> Iterator[tuple[CaseResult, str]]:
+        """``(case, failure label)`` of each case, in ``iter_sorted_cases()``
+        order, for writers only. The case is an object the report holds, a
+        held case or its flow's template, so it must not be changed; every
+        field of it but ``failure`` and ``rounds_as_expected`` is the
+        labelled case's."""
+        return ((case, label) for _, case, label, _ in self._sorted_walk())
 
     def summary_dict(self) -> dict:
         return {
@@ -190,102 +247,6 @@ class SweepReport:
             "violations": self.total_violations,
             "violations_by_kind": dict(sorted(self.violations_by_kind.items())),
         }
-
-
-# A reused case's own fields; the others are its template's.
-_OWN_FIELDS = ("failure", "stretch_before", "stretch_after", "rounds_as_expected", "violations")
-
-
-class _FlowCases:
-    """One flow's cases in a sweep, by index into the sweep's failure sets.
-
-    ``fresh`` ran their own fixpoint, at the indices ``fresh_at``. Each index
-    in ``reused`` copies ``template``, the flow's case with nothing failed,
-    with the stretch at the same position of ``stretches``, or with the
-    template's stretch when ``stretches`` is None. Both index arrays ascend.
-    """
-
-    __slots__ = ("flow_id", "template", "stretches", "fresh", "fresh_at", "reused")
-
-    def __init__(self, flow_id: str, template: CaseResult | None, stretches: array | None):
-        self.flow_id, self.template, self.stretches = flow_id, template, stretches
-        self.fresh: list[CaseResult] = []
-        self.fresh_at, self.reused = array("i"), array("i")
-
-    def walk(self, order: Iterable[int], labels: Sequence[str], checked: Sequence[bool | None],
-             shared: bool) -> Iterator[tuple[CaseResult, str]]:
-        """``(case, labels[index])`` of the flow's case at each index in
-        ``order`` that has one. The case is a new copy of a fresh case, or a
-        new copy of the template with the reused case's own fields, its
-        ``rounds_as_expected`` ``checked[index]``. With ``shared``, a fresh
-        case is itself instead, and so is the template wherever the reused
-        case's stretch is the template's."""
-        fresh = dict(zip(self.fresh_at, self.fresh))
-        template = self.template
-        reused = dict(zip(self.reused, self.stretches or itertools.repeat(
-            template and template.stretch_before)))
-        if reused:
-            fields = {name: value for name, value in vars(template).items()
-                      if name not in _OWN_FIELDS}
-        for index in order:
-            if (case := fresh.get(index)) is not None:
-                yield (case if shared else replace(case, violations=list(case.violations)),
-                       labels[index])
-            elif (ratio := reused.get(index)) is not None:
-                yield (template if shared and ratio == template.stretch_before else CaseResult(
-                    **fields, failure=labels[index], stretch_before=ratio, stretch_after=ratio,
-                    rounds_as_expected=checked[index]), labels[index])
-
-    def expand(self, labels: Sequence[str], checked: Sequence[bool | None]) -> list[CaseResult]:
-        """New copies of the flow's cases, in sweep order (see ``walk``)."""
-        return [case for case, _ in self.walk(range(len(labels)), labels, checked, False)]
-
-
-class _SweptReport(SweepReport):
-    """The report ``run_failure_sweep`` returns: one ``_FlowCases`` per flow,
-    the sweep's failure labels and per-set rounds check, and counts."""
-
-    def __init__(self, flows: list[_FlowCases], labels: list[str],
-                 checked: list[bool | None], total_cases: int, frr_failures: int,
-                 violations_by_kind: dict[str, int]):
-        self._flows, self._labels, self._checked = flows, labels, checked
-        self._total_cases, self._frr_failures = total_cases, frr_failures
-        self.violations_by_kind = violations_by_kind
-
-    @property
-    def cases(self) -> list[CaseResult]:
-        return [case for flow in self._flows for case in flow.expand(self._labels, self._checked)]
-
-    @property
-    def total_cases(self) -> int:
-        return self._total_cases
-
-    @property
-    def frr_failures(self) -> int:
-        return self._frr_failures
-
-    def iter_sorted_cases(self) -> Iterator[CaseResult]:
-        return (case for case, _ in self._walk(shared=False))
-
-    def iter_labelled_cases(self) -> Iterator[tuple[CaseResult, str]]:
-        """A fresh case is itself, and a reused case is the template
-        itself unless its stretch differs, when it is built as in
-        ``cases``; so the template's ``failure`` is not its label."""
-        return self._walk(shared=True)
-
-    def _walk(self, shared: bool) -> Iterator[tuple[CaseResult, str]]:
-        """Each flow's ``walk`` in the sweep's label order, one flow id at a
-        time; the walks of flows that share an id (which the CLI rejects)
-        are merged by label, in flow order on a tie, so the order is that of
-        a stable sort of ``cases``."""
-        labels = self._labels
-        order = sorted(range(len(labels)), key=labels.__getitem__)
-        by_id: dict[str, list[_FlowCases]] = {}
-        for flow in self._flows:
-            by_id.setdefault(flow.flow_id, []).append(flow)
-        for flow_id in sorted(by_id):
-            yield from heapq.merge(*(flow.walk(order, labels, self._checked, shared)
-                                     for flow in by_id[flow_id]), key=_label)
 
 
 def _promises_one_round(failures: FailureSet) -> bool:
@@ -376,22 +337,21 @@ def run_failure_sweep(
     nothing failed) is built once per sweep, and its distances to a
     destination once per (failure set, destination).
 
-    The report builds no ``CaseResult`` for a reused case. Per flow it keeps
-    the template, the cases that ran their own fixpoint, the indices of the
-    failure sets that reuse the template and, only when the template's
-    stretch is not 1.0, each reused case's stretch; it counts the cases,
-    the frr failures and the violations as the sweep runs. Its ``cases``
-    (in sweep order) and ``iter_sorted_cases()`` build new copies of the
-    cases on every read, and a reused case shares the template's
-    ``FixpointResult`` object, so a ``CaseResult.fixpoint`` must be treated
-    as read-only.
+    The report (see ``SweepReport``) holds, per flow, the template, the
+    cases that ran their own fixpoint, and the indices of the failure sets
+    whose case is the template under its own label. A reused case whose
+    stretch differs from the template's is held instead, as a copy of the
+    template with its own label, stretch and rounds check. The cases, the
+    frr failures and the violations are counted as the sweep runs. Every
+    case reused or copied from the template shares its ``FixpointResult``
+    object, so a ``CaseResult.fixpoint`` must be treated as read-only.
     """
-    flow_cases: list[_FlowCases] = []
+    report = SweepReport([], {})
     total = frr_failures = 0
-    violations: dict[str, int] = {}
-    labels = [failures.label() for failures in failure_sets]
-    checked = [True if check_rounds and _promises_one_round(failures) else None
-               for failures in failure_sets]
+    violations = report.violations_by_kind
+    labels = report._labels = [failures.label() for failures in failure_sets]
+    checked = report._checked = [True if check_rounds and _promises_one_round(failures)
+                                 else None for failures in failure_sets]
     # keyed by index into failure_sets, None for nothing failed
     residuals: dict[int | None, Mapping[str, Sequence[str]]] = {None: topology.arc_adjacency()}
     distances: dict[tuple[int | None, str], dict[str, int]] = {}
@@ -438,8 +398,8 @@ def run_failure_sweep(
             path = walk.node_path()
             nodes = frozenset(path)
             links = frozenset(canon_link(u, v) for u, v in zip(path, path[1:]))
-        record = _FlowCases(flow.flow_id, template if reusable else None,
-                            array("d") if reusable and template.stretch_before != 1.0 else None)
+        record = _FlowCases(flow.flow_id, template if reusable else None)
+        report._flows.append(record)
         for index, failures in enumerate(failure_sets):
             if flow.source in failures.failed_nodes or (
                 flow.destination in failures.failed_nodes
@@ -449,19 +409,24 @@ def run_failure_sweep(
             if reusable and failures.failed_nodes.isdisjoint(nodes) and (
                 failures.failed_links.isdisjoint(links)
             ):
-                record.reused.append(index)
-                if record.stretches is not None:
-                    record.stretches.append(_over_optimal(walk, distance(index, flow)))
+                ratio = template.stretch_before
+                if ratio != 1.0:
+                    ratio = _over_optimal(walk, distance(index, flow))
+                if ratio == template.stretch_before:
+                    record.reused.append(index)
+                else:
+                    record.hold(index, replace(
+                        template, failure=labels[index], stretch_before=ratio,
+                        stretch_after=ratio, rounds_as_expected=checked[index], violations=[]))
                 continue
             case = CaseResult(flow_id=flow.flow_id, failure=labels[index], verdict="")
             state = run_case(case, flow, failures, index, state, base)
             frr_failures += case.verdict == "frr_failed"
             for kind in case.violations:
                 violations[kind] = violations.get(kind, 0) + 1
-            record.fresh.append(case)
-            record.fresh_at.append(index)
-        flow_cases.append(record)
-    return _SweptReport(flow_cases, labels, checked, total, frr_failures, violations)
+            record.hold(index, case)
+    report.total_cases, report.frr_failures = total, frr_failures
+    return report
 
 
 # Run artefacts print as json.dumps(..., indent=2, sort_keys=True) would, but

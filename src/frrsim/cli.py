@@ -377,34 +377,20 @@ def _write_run_outputs(outdir: Path, report: analysis.SweepReport) -> None:
 
     The four files are written together from one pass over
     ``report.iter_labelled_cases()``, ``WRITE_CHUNK`` (case, label) pairs at
-    a time, so no list of every case is held. A swept report yields a
-    reused case as its flow's template under the case's own label, so each
-    distinct case object's traces.json doc, report.csv row and report.json
-    record is rendered once per flow, in two halves around its ``failure``
-    value, and each pair is written as the halves with its encoded label
-    spliced in (``analysis.Spliced``). Cases also share one
-    ``FixpointResult`` wherever the failure misses the failure-free walk, so
-    each distinct fixpoint's traces are serialised once per flow and spliced
-    into the doc of every case that holds it. Reuse never crosses flows, so
-    both memos are emptied whenever the flow changes.
+    a time, so no list of every case is held. That pass yields a reused
+    case as its flow's template under the case's own label, so each
+    distinct case object's traces.json doc (with its fixpoint's traces),
+    report.csv row and report.json record is rendered once per flow, in two
+    halves around its ``failure`` value, and each pair is written as the
+    halves with its encoded label spliced in (``analysis.Spliced``).
     """
-    traces: dict[int, str] = {}  # id(fixpoint) -> its traces list, two levels deep
-    flow_id = None
-
     def trace_docs(cases: list[analysis.CaseResult]) -> Iterator[list[str]]:
-        nonlocal flow_id
         heads = analysis.json_fields([{"flow": c.flow_id, "rounds": c.rounds} for c in cases], 1)
         verdicts = analysis.json_fields([{"verdict": c.verdict} for c in cases], 1)
         for case, head, verdict in zip(cases, heads, verdicts):
-            if case.flow_id != flow_id:
-                traces.clear()
-                flow_id = case.flow_id
             fp = case.fixpoint
-            if fp is None:
-                fragment = "[]"
-            elif (fragment := traces.get(id(fp))) is None:
-                fragment = traces[id(fp)] = analysis.json_items(
-                    [_trace_json(t) for t in fp.traces], 2)
+            fragment = "[]" if fp is None else analysis.json_items(
+                [_trace_json(t) for t in fp.traces], 2)
             # "failure" sorts first; encoded JSON never holds a raw NUL
             yield analysis.json_items(['"failure": \0', head, f'"traces": {fragment}', verdict],
                                       1, "{}").split("\0")

@@ -453,7 +453,9 @@ class TestCompactReport:
         report = run_failure_sweep(t, compile_state, flows, failure_sets)
         assert report.summary_dict() == self.SUMMARIES[scheme]
 
-        reused = reusable = 0
+        # a reused case whose residual distance is not the failure-free one
+        # has a stretch of its own, and is held as a copy of the template
+        reused = reusable = own_stretch = 0
         for flow in flows:
             free = shortcut_fixpoint(compile_state(flow), t, FailureSet(), flow)
             walk = free.initial_trace
@@ -461,11 +463,16 @@ class TestCompactReport:
                 continue
             reusable += 1
             links = FailureSet.of(links=zip(walk.node_path(), walk.node_path()[1:])).failed_links
-            reused += sum(1 for failures in failure_sets
-                          if failures.failed_links.isdisjoint(links))
+            distance = shortest_path_length(t, FailureSet(), flow.source, flow.destination)
+            for failures in failure_sets:
+                if failures.failed_links.isdisjoint(links):
+                    reused += 1
+                    own_stretch += shortest_path_length(
+                        t, failures, flow.source, flow.destination) != distance
+        assert own_stretch == {"greedy": 0, "arborescence": 48}[scheme]
         fresh = report.total_cases - reused
         held = self.reachable_cases(report)
-        assert held == fresh + reusable
+        assert held == fresh + reusable + own_stretch
         assert held < report.total_cases / 4
         assert len(report.cases) == report.total_cases
 
@@ -497,6 +504,32 @@ class TestCompactReport:
             case.violations.append("changed")
         assert [case.violations for case in report.cases] == [
             case.violations[:-1] for case in cases]
+
+    def test_a_list_built_report_copies_its_cases_in_the_order_given(self):
+        # the flow ids interleave, and the last case repeats the first's
+        # (flow, failure) pair with another verdict
+        given = [CaseResult("A", "link:y", "delivered", 2, 2, 1.0, 1.0, 0),
+                 CaseResult("A", "link:x", "frr_failed", 3),
+                 CaseResult("B", "link:x", "delivered", 1, 1, 1.0, 1.0, 0),
+                 CaseResult("A", "link:w", "delivered", 4, 2, 2.0, 1.0, 1,
+                            violations=["not_simple"]),
+                 CaseResult("A", "link:y", "exception", violations=["exception"], error="E")]
+        report = analysis.SweepReport(given, {"not_simple": 1, "exception": 1})
+        assert report.summary_dict()["cases"] == 5
+        assert report.frr_failures == 1
+
+        cases = report.cases
+        assert cases == given
+        assert not any(a is b or a.violations is b.violations for a, b in zip(cases, given))
+        expected = sorted(given, key=lambda c: (c.flow_id, c.failure))
+        assert [c.verdict for c in expected[2:4]] == ["delivered", "exception"]
+        assert report.sorted_cases == expected
+        assert list(report.iter_sorted_cases()) == expected
+
+        cases[0].verdict = "changed"
+        cases[3].violations.append("changed")
+        assert report.cases == given
+        assert report.sorted_cases == expected
 
 
 class TestSweepStretch:

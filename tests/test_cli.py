@@ -516,10 +516,10 @@ class TestVerifyCommand:
         def refuse(*args):
             raise AssertionError(f"{command} built a list of every case")
 
-        monkeypatch.setattr(analysis._SweptReport, "cases", property(refuse))
-        monkeypatch.setattr(analysis._SweptReport, "sorted_cases", property(refuse))
+        monkeypatch.setattr(analysis.SweepReport, "cases", property(refuse))
+        monkeypatch.setattr(analysis.SweepReport, "sorted_cases", property(refuse))
         if command == "verify":
-            monkeypatch.setattr(analysis._FlowCases, "expand", refuse)
+            monkeypatch.setattr(analysis._FlowCases, "walk", refuse)
         result = runner.invoke(main, [command, path, "--output-dir", str(tmp_path / "guarded")])
         assert result.exit_code == 0, result.output
         for file in (tmp_path / "free").iterdir():

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 
+import networkx as nx
 import pytest
 
 from frrsim import (
@@ -35,6 +36,8 @@ from frrsim.shortcut import (
     apply_truncation,
     revert_changes,
 )
+
+from test_analysis import SCHEME_COMPILERS, all_pairs
 
 
 @pytest.fixture
@@ -417,3 +420,50 @@ class TestOneWalkPerRound:
             assert select_calls[0] == self.walk_cost(fp)
             rounds += fp.rounds
         assert rounds > 0
+
+
+def loop_erasure(walk: tuple[str, ...]) -> tuple[str, ...]:
+    """The chronological loop erasure of a walk: on revisiting a node, pop
+    the path back to it."""
+    path: list[str] = []
+    for node in walk:
+        if node in path:
+            del path[path.index(node) + 1:]
+        else:
+            path.append(node)
+    return tuple(path)
+
+
+def test_loop_erasure():
+    assert loop_erasure(("S", "A", "B", "A", "C", "S", "D")) == ("S", "D")
+    assert loop_erasure(("S", "A", "B", "C", "B", "D")) == ("S", "A", "B", "D")
+    assert loop_erasure(("S",)) == ("S",)
+
+
+def test_shortcut_result_is_the_loop_erased_walk_on_small_atlas_graphs():
+    """Every 2-edge-connected graph of 3 to 6 nodes in networkx's graph
+    atlas, every ordered pair and every single link failure, under
+    arborescences (k = edge connectivity), greedy and partition (k = 2):
+    wherever the failover walk delivers, the shortcut route is that walk
+    with its loops erased chronologically, after at most one round."""
+    graphs = [g for g in nx.graph_atlas_g()
+              if 3 <= g.number_of_nodes() <= 6 and nx.edge_connectivity(g) >= 2]
+    delivered = 0
+    for g in graphs:
+        t = Topology([str(n) for n in g.nodes], [(str(a), str(b)) for a, b in g.edges])
+        failure_sets = enumerate_link_failures(t)
+        for compiler in SCHEME_COMPILERS.values():
+            compile_state = compiler(t)
+            for flow in all_pairs(t):
+                state = compile_state(flow)
+                for failures in failure_sets:
+                    fp = shortcut_fixpoint(state, t, failures, flow)
+                    revert_changes(state, fp.all_changes())
+                    if fp.initial_trace.outcome is not Outcome.DELIVERED:
+                        continue
+                    delivered += 1
+                    assert fp.delivered, (flow, failures.label())
+                    assert fp.final_trace.node_path() == loop_erasure(
+                        fp.initial_trace.node_path()), (flow, failures.label())
+                    assert fp.rounds <= 1, (flow, failures.label())
+    assert (len(graphs), delivered) == (75, 57_224)

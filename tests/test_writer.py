@@ -255,19 +255,6 @@ def test_each_distinct_fixpoint_is_serialised_once(greedy_hypercube3, tmp_path, 
     assert len(calls) == per_distinct
 
 
-def test_the_trace_memo_holds_one_flow(tmp_path, monkeypatch):
-    """Reuse never crosses flows, so the memo is emptied when the flow
-    changes: a fixpoint that two flows hold is serialised once per flow."""
-    fp = covering_report().cases[0].fixpoint
-    report = make_report([CaseResult(flow, failure, "delivered", fixpoint=fp)
-                          for flow in ("A->D", "B->D") for failure in ("link:x", "link:y")])
-    encoded = []
-    trace_json = cli._trace_json
-    monkeypatch.setattr(cli, "_trace_json", lambda t: encoded.append(t) or trace_json(t))
-    cli._write_run_outputs(tmp_path, report)
-    assert encoded == fp.traces * 2
-
-
 def test_chunks_that_split_a_shared_fixpoint_write_the_same_bytes(greedy_hypercube3,
                                                                   monkeypatch):
     monkeypatch.setattr(analysis, "WRITE_CHUNK", 7)
@@ -286,11 +273,17 @@ def node_sweep_with_differing_stretches() -> SweepReport:
                         "min_edge_connectivity": 2})
     report = run_failure_sweep(t, SCHEME_COMPILERS["arborescence"](t), all_pairs(t),
                                enumerate_node_failures(t))
-    templates = [flow for flow in report._flows if flow.reused]
-    assert any(flow.template.stretch_before != 1.0 for flow in templates)
-    assert any(ratio != flow.template.stretch_before
-               for flow in templates if flow.stretches is not None for ratio in flow.stretches)
+    assert any(flow.template.stretch_before != 1.0 for flow in report._flows if flow.reused)
+    own = own_stretch_cases(report)
+    assert own and all(case.stretch_before != template.stretch_before for template, case in own)
     return report
+
+
+def own_stretch_cases(report: SweepReport) -> list[tuple[CaseResult, CaseResult]]:
+    """(template, case) of each held copy of a flow's template: a reused
+    case with a stretch of its own, which shares the template's fixpoint."""
+    return [(flow.template, case) for flow in report._flows if flow.template
+            for case in flow.held if case.fixpoint is flow.template.fixpoint]
 
 
 def awkward_link_and_node_sweep() -> SweepReport:
@@ -312,24 +305,46 @@ def test_swept_reports_equal_the_reference_writer(build, chunk, monkeypatch):
     assert_same_artefacts(build())
 
 
-def test_writing_builds_no_reused_case(greedy_hypercube3, tmp_path, monkeypatch):
+SWEPT_REPORTS = {
+    "greedy_hypercube3": lambda request: request.getfixturevalue("greedy_hypercube3"),
+    "node_sweep_with_differing_stretches": lambda request: node_sweep_with_differing_stretches(),
+    "awkward_link_and_node_sweep": lambda request: awkward_link_and_node_sweep(),
+}
+
+
+@pytest.mark.parametrize("name", ["greedy_hypercube3", "node_sweep_with_differing_stretches"])
+def test_writing_builds_no_reused_case(name, request, tmp_path, monkeypatch):
     """A reused case is written as its template's text with its own label,
-    so only the fresh cases and the reused cases with a stretch of their
-    own may be built, not one case per failure set."""
-    flows = greedy_hypercube3._flows
-    fresh = sum(len(flow.fresh) for flow in flows)
-    own_stretch = sum(ratio != flow.template.stretch_before
-                      for flow in flows if flow.stretches is not None for ratio in flow.stretches)
-    assert greedy_hypercube3.total_cases > 3 * (fresh + own_stretch)
+    and one with a stretch of its own is held since the sweep, so writing
+    builds no case at all."""
+    report = SWEPT_REPORTS[name](request)
+    assert report.total_cases > 3 * sum(len(flow.held) for flow in report._flows)
 
     built = []
-    init, expand = CaseResult.__init__, analysis._FlowCases.expand
+    init = CaseResult.__init__
     monkeypatch.setattr(CaseResult, "__init__",
                         lambda self, *a, **k: built.append(self) or init(self, *a, **k))
-    monkeypatch.setattr(analysis._FlowCases, "expand",
-                        lambda self, *a: built.append(self) or expand(self, *a))
-    cli._write_run_outputs(tmp_path, greedy_hypercube3)
-    assert len(built) <= fresh + own_stretch
+    cli._write_run_outputs(tmp_path, report)
+    assert built == []
+
+
+@pytest.mark.parametrize("name", list(SWEPT_REPORTS))
+def test_a_report_built_from_a_swept_ones_cases_is_the_same_report(name, request, tmp_path):
+    """``SweepReport(cases, violations_by_kind)`` holds each case it is
+    given, and reads and writes as the swept report it took them from."""
+    swept = SWEPT_REPORTS[name](request)
+    listed = SweepReport(swept.cases, swept.violations_by_kind)
+    assert listed.summary_dict() == swept.summary_dict()
+    for view in ("cases", "sorted_cases"):
+        got, expected = getattr(listed, view), getattr(swept, view)
+        assert got == expected
+        assert all(a.fixpoint is b.fixpoint for a, b in zip(got, expected))
+    for outdir, report in ((tmp_path / "swept", swept), (tmp_path / "listed", listed)):
+        outdir.mkdir()
+        cli._write_run_outputs(outdir, report)
+    for file in RUN_FILES:
+        assert (tmp_path / "listed" / file).read_bytes() == (
+            tmp_path / "swept" / file).read_bytes(), file
 
 
 def test_writer_memory_is_a_fraction_of_what_it_writes(tmp_path):
