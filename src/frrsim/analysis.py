@@ -3,9 +3,9 @@
 The sweep engine enumerates failures, runs the shortcut fixpoint for every
 (flow, failure) case, and checks the guarantees the mechanism promises: the
 final route is delivered, is a simple path, uses only directed edges of the
-initial reroute walk, and (when the set fails one link and no node) needed
-exactly one truncating round when the initial walk looped. Violations are
-data in the report, never exceptions.
+initial reroute walk, and needed exactly one truncating round if the
+initial walk looped and none if it did not, whatever the failure set.
+Violations are data in the report, never exceptions.
 
 Throughput is modelled as fluid max-min fairness over per-direction unit
 link capacities; the timeline stitches piecewise-constant rate segments for
@@ -141,32 +141,29 @@ class _FlowCases:
         self.held.append(case)
         self.held_at.append(index)
 
-    def walk(self, labels: Sequence[str], checked: Sequence[bool | None]) -> list[tuple]:
-        """``(index, case, label, rounds_as_expected)`` of each of the flow's
-        cases, in index order: a held case under its own ``failure`` and
-        ``rounds_as_expected``, the template under ``labels[index]`` and
-        ``checked[index]``. No two entries share an index, so the sort never
+    def walk(self, labels: Sequence[str]) -> list[tuple]:
+        """``(index, case, label)`` of each of the flow's cases, in index
+        order: a held case under its own ``failure``, the template under
+        ``labels[index]``. No two entries share an index, so the sort never
         compares cases."""
-        entries = [(index, case, case.failure, case.rounds_as_expected)
-                   for index, case in zip(self.held_at, self.held)]
+        entries = [(index, case, case.failure) for index, case in zip(self.held_at, self.held)]
         if self.reused:
             template = self.template
-            entries += [(index, template, labels[index], checked[index]) for index in self.reused]
+            entries += [(index, template, labels[index]) for index in self.reused]
             entries.sort()
         return entries
 
 
 def _copies(entries: Iterable[tuple]) -> Iterator[CaseResult]:
     """A new case for each entry of ``_FlowCases.walk``: its case under the
-    entry's label and ``rounds_as_expected``, with a ``violations`` list of
-    its own and the same ``fixpoint``."""
+    entry's label, with a ``violations`` list of its own and the same
+    ``fixpoint``."""
     last = None
-    for _, case, label, expected in entries:
+    for _, case, label in entries:
         if case is not last:  # a template's entries often follow one another
             last, fields = case, {name: value for name, value in vars(case).items()
-                                  if name not in ("failure", "rounds_as_expected", "violations")}
-        yield CaseResult(**fields, failure=label, rounds_as_expected=expected,
-                         violations=list(case.violations))
+                                  if name not in ("failure", "violations")}
+        yield CaseResult(**fields, failure=label, violations=list(case.violations))
 
 
 class SweepReport:
@@ -190,9 +187,8 @@ class SweepReport:
         self.violations_by_kind = violations_by_kind
         self.total_cases = self.frr_failures = 0
         self._flows: list[_FlowCases] = []
-        # the label and rounds check of each index, read for reused cases only
+        # the label of each index, read for reused cases only
         self._labels: Sequence[str] = ()
-        self._checked: Sequence[bool | None] = ()
         for index, case in enumerate(cases):
             if not self._flows or self._flows[-1].flow_id != case.flow_id:
                 self._flows.append(_FlowCases(case.flow_id))
@@ -208,7 +204,7 @@ class SweepReport:
     def cases(self) -> list[CaseResult]:
         """New copies of the cases, flow by flow, each flow's in index order."""
         return list(_copies(entry for flow in self._flows
-                            for entry in flow.walk(self._labels, self._checked)))
+                            for entry in flow.walk(self._labels)))
 
     def _sorted_walk(self) -> Iterator[tuple]:
         """The entries of every flow's ``walk`` in (flow, failure) order, the
@@ -220,7 +216,7 @@ class SweepReport:
             by_id.setdefault(flow.flow_id, []).append(flow)
         for flow_id in sorted(by_id):
             yield from sorted((entry for flow in by_id[flow_id]
-                               for entry in flow.walk(self._labels, self._checked)),
+                               for entry in flow.walk(self._labels)),
                               key=operator.itemgetter(2))
 
     def iter_sorted_cases(self) -> Iterator[CaseResult]:
@@ -236,9 +232,8 @@ class SweepReport:
         """``(case, failure label)`` of each case, in ``iter_sorted_cases()``
         order, for writers only. The case is an object the report holds, a
         held case or its flow's template, so it must not be changed; every
-        field of it but ``failure`` and ``rounds_as_expected`` is the
-        labelled case's."""
-        return ((case, label) for _, case, label, _ in self._sorted_walk())
+        field of it but ``failure`` is the labelled case's."""
+        return ((case, label) for _, case, label in self._sorted_walk())
 
     def summary_dict(self) -> dict:
         return {
@@ -247,12 +242,6 @@ class SweepReport:
             "violations": self.total_violations,
             "violations_by_kind": dict(sorted(self.violations_by_kind.items())),
         }
-
-
-def _promises_one_round(failures: FailureSet) -> bool:
-    """Whether the one-round guarantee covers ``failures``: one link, no node
-    (a failed node takes all its links down and may cost a no-op round)."""
-    return len(failures.failed_links) == 1 and not failures.failed_nodes
 
 
 def _check_case(case: CaseResult, fp: FixpointResult, check_rounds: bool) -> None:
@@ -309,10 +298,10 @@ def run_failure_sweep(
     excluded from the guarantee checks; an exception is recorded as the
     case's verdict.
 
-    With ``check_rounds`` (the default), a case whose set fails exactly one
-    link and no node is also held to the one-round guarantee: one truncating
-    round if its initial walk looped, none otherwise. Every other case has
-    ``rounds_as_expected`` None, and ``check_rounds=False`` checks no case.
+    With ``check_rounds`` (the default), every delivered case is also held
+    to the one-round guarantee, whatever its failure set: one truncating
+    round if its initial walk looped, none otherwise. ``check_rounds=False``
+    checks no case and leaves ``rounds_as_expected`` None.
 
     Each flow first runs, unreported, the case with nothing failed. If it
     is delivered in 0 rounds with no violation, it is the template of every
@@ -322,12 +311,11 @@ def run_failure_sweep(
     first entry of its suffix (greedy state skips only the return edge,
     never a dead entry), and that entry is still live, so the walk is the
     same. Zero rounds means no inport saw an exit deeper than its start,
-    which no failure can change, so no rule changes either. A reused case's
-    rounds check is its own set's: the template did not loop (a looped walk
-    left as it was is a violation) and needed no round, so a checked reused
-    case needed the rounds expected. If the case with nothing failed
-    raises, drops, needs a round or violates a guarantee, every case of the
-    flow runs its own fixpoint.
+    which no failure can change, so no rule changes either. The template did
+    not loop (a looped walk left as it was is a violation) and needed no
+    round, so its rounds check holds for every reused case. If the case with
+    nothing failed raises, drops, needs a round or violates a guarantee,
+    every case of the flow runs its own fixpoint.
 
     A reused case keeps the template's stretch when it is 1.0, that is when
     the walk's hop count h is the failure-free distance: the walk survives,
@@ -341,17 +329,15 @@ def run_failure_sweep(
     cases that ran their own fixpoint, and the indices of the failure sets
     whose case is the template under its own label. A reused case whose
     stretch differs from the template's is held instead, as a copy of the
-    template with its own label, stretch and rounds check. The cases, the
-    frr failures and the violations are counted as the sweep runs. Every
-    case reused or copied from the template shares its ``FixpointResult``
-    object, so a ``CaseResult.fixpoint`` must be treated as read-only.
+    template with its own label and stretch. The cases, the frr failures and
+    the violations are counted as the sweep runs. Every case reused or
+    copied from the template shares its ``FixpointResult`` object, so a
+    ``CaseResult.fixpoint`` must be treated as read-only.
     """
     report = SweepReport([], {})
     total = frr_failures = 0
     violations = report.violations_by_kind
     labels = report._labels = [failures.label() for failures in failure_sets]
-    checked = report._checked = [True if check_rounds and _promises_one_round(failures)
-                                 else None for failures in failure_sets]
     # keyed by index into failure_sets, None for nothing failed
     residuals: dict[int | None, Mapping[str, Sequence[str]]] = {None: topology.arc_adjacency()}
     distances: dict[tuple[int | None, str], dict[str, int]] = {}
@@ -374,7 +360,7 @@ def run_failure_sweep(
                 case.verdict = "frr_failed"
                 case.hops_before = fp.initial_trace.hop_count
             else:
-                _check_case(case, fp, check_rounds and _promises_one_round(failures))
+                _check_case(case, fp, check_rounds)
                 optimal = distance(index, flow)
                 case.stretch_before = _over_optimal(fp.initial_trace, optimal)
                 if fp.delivered:
@@ -417,7 +403,7 @@ def run_failure_sweep(
                 else:
                     record.hold(index, replace(
                         template, failure=labels[index], stretch_before=ratio,
-                        stretch_after=ratio, rounds_as_expected=checked[index], violations=[]))
+                        stretch_after=ratio, violations=[]))
                 continue
             case = CaseResult(flow_id=flow.flow_id, failure=labels[index], verdict="")
             state = run_case(case, flow, failures, index, state, base)

@@ -7,9 +7,9 @@ choice. Outports whose link is down count as already removed, so a rule
 whose top entry merely failed over is not rewritten. The whole mechanism is
 local: a node's update depends only on the hops that touched it.
 
-Iterating route -> observe -> truncate reaches a fixpoint; under a single
-link failure one round suffices and the final route is a loop-free sub-path
-of the original reroute walk.
+Iterating route -> observe -> truncate reaches a fixpoint. Whatever failed,
+a walk that never looped changes no rule, one that looped needs one round,
+and the final route is a loop-free sub-path of the original reroute walk.
 """
 
 from __future__ import annotations
@@ -115,14 +115,18 @@ def apply_truncation(
 
     For every observed node and every inport the packet used there: find
     the largest observed index inside the inport's current suffix; if it
-    lies beyond the suffix's first *live* entry, move the start there. The
-    rule needs no partition awareness: partition failover lays its entries
-    out partition by partition, so tags never decrease along a priority
-    list and the first live entry is also the first live entry of the
-    earliest partition with one. An observed exit into a later
-    partition thus truncates only when it lies beyond that entry; when it
-    is that entry, the walk was a plain failover and the rule stays.
+    lies beyond the suffix's first *live* entry, move the start there. For
+    greedy state the inport's own link, the return edge, is not such an
+    entry: ``select`` never takes it from the list, so skipping only it
+    would be a rule change that moves no hop. The rule needs no partition
+    awareness: partition failover lays its entries out partition by
+    partition, so tags never decrease along a priority list and the first
+    live entry is also the first live entry of the earliest partition with
+    one. An observed exit into a later partition thus truncates only when
+    it lies beyond that entry; when it is that entry, the walk was a plain
+    failover and the rule stays.
     """
+    greedy = state.mode == MODE_GREEDY
     changes: list[RuleChange] = []
     for node in sorted(observations):
         table = state.tables[node]
@@ -136,9 +140,11 @@ def apply_truncation(
             j = table.inport_start.get(inport)
             if j is None or deepest <= j:
                 continue
-            # move only past a live entry: dead ones already count as removed
+            # move only past a live entry select could take: dead ones already
+            # count as removed, and greedy never takes the return edge from the list
+            back = inport if greedy else None
             skipped = table.priority[j - 1 : deepest - 1]
-            if any(not failures.link_down(node, out) for out in skipped):
+            if any(out != back and not failures.link_down(node, out) for out in skipped):
                 table.inport_start[inport] = deepest
                 changes.append(
                     RuleChange(node=node, inport=inport, old_start=j, new_start=deepest)
@@ -240,6 +246,11 @@ def shortcut_fixpoint(
     flow: Flow,
 ) -> FixpointResult:
     """Alternate route and truncate until no rule changes (mutates state).
+
+    A walk that never looped left each node once, by the first entry of its
+    suffix that ``select`` could take, so it changes no rule and the result
+    has 0 rounds. A walk that looped is expected to need exactly 1, whatever
+    the failure set; sweeps check this (``check_rounds``), nothing proves it.
 
     Each round is one walk: the step reads the priority indices that
     ``route`` recorded on the hops. A non-delivered trace at any round is

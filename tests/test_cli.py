@@ -473,7 +473,7 @@ class TestVerifyCommand:
         assert summary["violations_by_kind"] == {}
 
     def test_one_round_check_follows_the_failure_set(self, runner, tmp_path):
-        """Only a set of one failed link is held to the one-round count."""
+        """Every failure set is held to the one-round count."""
         graph = tmp_path / "graph.json"
         graph.write_text(json.dumps({"nodes": ["0", "1", "2", "3"], "links": [
             ["0", "1"], ["0", "2"], ["0", "3"], ["1", "2"], ["2", "3"]]}))
@@ -488,20 +488,20 @@ class TestVerifyCommand:
         result = runner.invoke(main, ["verify", path, "--output-dir", str(outdir)])
         assert result.exit_code == 0, result.output
         assert json.loads((outdir / "verify.json").read_text())["violations"] == 0
-        # The walk 1-2-3-0 is delivered and simple; its one round changes no hop.
+        # The walk 1-2-3-0 is delivered and simple, so it needs no round.
         (case,) = cli._load_and_sweep(path, None, None, str(outdir))[1].cases
-        assert (case.rounds, case.hops_before, case.hops_after) == (1, 3, 3)
-        assert case.violations == [] and case.rounds_as_expected is None
+        assert (case.rounds, case.hops_before, case.hops_after) == (0, 3, 3)
+        assert case.violations == [] and case.rounds_as_expected is True
 
         (case,) = cli._load_and_sweep(path, "0,1", None, str(outdir))[1].cases
         assert case.rounds_as_expected is True
         (case,) = cli._load_and_sweep(path, "node:3", None, str(outdir))[1].cases
-        assert case.rounds_as_expected is None
+        assert case.rounds_as_expected is True
         cfg["failures"] = {"kind": "sweep_nodes"}
         report = cli._load_and_sweep(write_config(tmp_path, "nodes.json", cfg), None, None,
                                      str(outdir))[1]
         assert [(c.failure, c.rounds_as_expected) for c in report.cases] == [
-            ("node:2", None), ("node:3", None)]
+            ("node:2", True), ("node:3", True)]
 
     @pytest.mark.parametrize("command", ["run", "verify"])
     def test_run_lists_no_case_and_verify_builds_none(self, runner, tmp_path, monkeypatch,

@@ -4,6 +4,8 @@ import random
 
 import networkx as nx
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from frrsim import (
     FailureSet,
@@ -23,10 +25,11 @@ from frrsim import (
     observe_and_truncate,
     partition_shortcut,
     route,
+    run_failure_sweep,
     shortcut_fixpoint,
 )
-from frrsim.analysis import enumerate_link_failures
-from frrsim.forwarding import MODE_SUFFIX
+from frrsim.analysis import enumerate_link_failures, enumerate_node_failures
+from frrsim.forwarding import MODE_GREEDY, MODE_SUFFIX
 from frrsim.frr import PartitionScheme
 from frrsim.scenarios import FIGURE1_PATHS
 from frrsim.shortcut import (
@@ -37,7 +40,7 @@ from frrsim.shortcut import (
     revert_changes,
 )
 
-from test_analysis import SCHEME_COMPILERS, all_pairs
+from test_analysis import NODE_SET_GRAPH, SCHEME_COMPILERS, all_pairs
 
 
 @pytest.fixture
@@ -358,6 +361,25 @@ class TestGreedyShortcut:
         trace = route(state, figure1, FailureSet.none(), figure1_flow)
         assert greedy_shortcut(state, figure1, FailureSet.none(), trace) == []
 
+    def test_truncation_past_only_the_return_edge_changes_nothing(self):
+        # v's distance order lists p first, but a packet from p never takes p
+        # from the list: exiting to x skips only the return edge.
+        t = Topology(["v", "p", "q", "x"], [("p", "v"), ("q", "v"), ("v", "x")])
+        tables = {
+            "v": PortTable(["p", "x", "q"], {None: 1, "p": 1, "q": 1, "x": 1}),
+            "p": PortTable(["v"], {None: 1, "v": 1}),
+            "q": PortTable(["v"], {None: 1, "v": 1}),
+            "x": PortTable([], {None: 1}),
+        }
+        state = ForwardingState(Flow("p", "x"), MODE_GREEDY, tables)
+        from_p = {"v": NodeObservation(inports={"p"}, exits={("x", 2)})}
+        assert apply_truncation(state, t, FailureSet.none(), from_p) == []
+        assert state.tables["v"].inport_start["p"] == 1
+        # from q, the live entry p is skipped and the start moves
+        from_q = {"v": NodeObservation(inports={"q"}, exits={("x", 2)})}
+        assert apply_truncation(state, t, FailureSet.none(), from_q) == [
+            RuleChange("v", "q", old_start=1, new_start=2)]
+
     def test_square_all_single_failures_end_loop_free(self, square):
         flow = Flow("a", "c")
         for failures in enumerate_link_failures(square):
@@ -442,28 +464,66 @@ def test_loop_erasure():
 
 def test_shortcut_result_is_the_loop_erased_walk_on_small_atlas_graphs():
     """Every 2-edge-connected graph of 3 to 6 nodes in networkx's graph
-    atlas, every ordered pair and every single link failure, under
-    arborescences (k = edge connectivity), greedy and partition (k = 2):
-    wherever the failover walk delivers, the shortcut route is that walk
-    with its loops erased chronologically, after at most one round."""
+    atlas, every ordered pair and every single link or non-endpoint node
+    failure, under arborescences (k = edge connectivity), greedy and
+    partition (k = 2): wherever the failover walk delivers, the shortcut
+    route is that walk with its loops erased chronologically, after one
+    round if the walk looped and none if not."""
     graphs = [g for g in nx.graph_atlas_g()
               if 3 <= g.number_of_nodes() <= 6 and nx.edge_connectivity(g) >= 2]
     delivered = 0
     for g in graphs:
         t = Topology([str(n) for n in g.nodes], [(str(a), str(b)) for a, b in g.edges])
-        failure_sets = enumerate_link_failures(t)
+        failure_sets = enumerate_link_failures(t) + enumerate_node_failures(t)
         for compiler in SCHEME_COMPILERS.values():
             compile_state = compiler(t)
             for flow in all_pairs(t):
                 state = compile_state(flow)
                 for failures in failure_sets:
+                    if {flow.source, flow.destination} & failures.failed_nodes:
+                        continue
                     fp = shortcut_fixpoint(state, t, failures, flow)
                     revert_changes(state, fp.all_changes())
                     if fp.initial_trace.outcome is not Outcome.DELIVERED:
                         continue
                     delivered += 1
+                    walk = fp.initial_trace.node_path()
                     assert fp.delivered, (flow, failures.label())
-                    assert fp.final_trace.node_path() == loop_erasure(
-                        fp.initial_trace.node_path()), (flow, failures.label())
-                    assert fp.rounds <= 1, (flow, failures.label())
-    assert (len(graphs), delivered) == (75, 57_224)
+                    assert fp.final_trace.node_path() == loop_erasure(walk), (
+                        flow, failures.label())
+                    looped = len(set(walk)) < len(walk)
+                    assert fp.rounds == (1 if looped else 0), (flow, failures.label())
+    assert (len(graphs), delivered) == (75, 80_831)
+
+
+@st.composite
+def graphs_and_failure_sets(draw):
+    """A random 2-edge-connected graph of 3 to 8 nodes and a few failure
+    sets of up to 3 links and up to 2 nodes each."""
+    t = build_topology({"kind": "random", "n": draw(st.integers(3, 8)),
+                        "p": draw(st.sampled_from([0.4, 0.6, 0.8])),
+                        "seed": draw(st.integers(0, 10_000)), "min_edge_connectivity": 2})
+    failure_set = st.builds(
+        lambda links, nodes: FailureSet.of(links=links, nodes=nodes),
+        st.lists(st.sampled_from(t.links), max_size=3, unique=True),
+        st.lists(st.sampled_from(t.nodes), max_size=2, unique=True),
+    )
+    return t, draw(st.lists(failure_set, min_size=1, max_size=4))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(graph_and_sets=graphs_and_failure_sets(), scheme=st.sampled_from(sorted(SCHEME_COMPILERS)))
+@example(graph_and_sets=(NODE_SET_GRAPH, [FailureSet.of(nodes=["F"])]), scheme="greedy")
+def test_sweep_shortcuts_to_the_loop_erased_walk_in_one_round(graph_and_sets, scheme):
+    """Any scheme, any failure set: a sweep reports no violation, and every
+    delivered case ends on the loop erasure of its failover walk after one
+    round if that walk looped and none if not."""
+    t, failure_sets = graph_and_sets
+    report = run_failure_sweep(t, SCHEME_COMPILERS[scheme](t), all_pairs(t), failure_sets)
+    assert report.violations_by_kind == {}
+    for case in report.cases:
+        if case.verdict == "delivered":
+            walk = case.fixpoint.initial_trace.node_path()
+            assert case.fixpoint.final_trace.node_path() == loop_erasure(walk), case
+            assert case.rounds == (1 if case.looped_before else 0), case
