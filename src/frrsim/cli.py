@@ -73,6 +73,8 @@ def _is_name_list(value) -> bool:
 
 def _number(value, name: str) -> Fraction:
     try:
+        if isinstance(value, bool):  # JSON true/false are not numbers
+            raise ValueError
         return analysis.as_fraction(value)
     except ValueError:
         raise ConfigError(f"{name} must be a number, got {value!r}") from None

@@ -9,8 +9,7 @@ Two lookup modes exist:
   * ``suffix``  -- the inport selects a contiguous tail of the priority list
                    (arborescence and partition failover compile to this);
   * ``greedy``  -- one global distance-ordered list per node; the outport
-                   back through the packet's inport is demoted to last (or
-                   pinned first, once a bounce-back was observed).
+                   back through the packet's inport is demoted to last.
 """
 
 from __future__ import annotations
@@ -89,19 +88,17 @@ class Trace:
 class PortTable:
     """Per (node, flow) forwarding rules."""
 
-    __slots__ = ("priority", "inport_start", "partition_tag", "pinned")
+    __slots__ = ("priority", "inport_start", "partition_tag")
 
     def __init__(
         self,
         priority: list[str],
         inport_start: dict[str | None, int],
         partition_tag: list[int] | None = None,
-        pinned: set[str] | None = None,
     ):
         self.priority = list(priority)
         self.inport_start = dict(inport_start)
         self.partition_tag = list(partition_tag) if partition_tag is not None else None
-        self.pinned = set(pinned) if pinned else set()
         if self.partition_tag is not None and len(self.partition_tag) != len(self.priority):
             raise ValueError("partition_tag must parallel the priority list")
         k = len(self.priority)
@@ -118,7 +115,6 @@ class PortTable:
         table.priority = list(self.priority)
         table.inport_start = dict(self.inport_start)
         table.partition_tag = None if self.partition_tag is None else list(self.partition_tag)
-        table.pinned = set(self.pinned)
         return table
 
     def to_json_dict(self) -> dict:
@@ -130,7 +126,6 @@ class PortTable:
             "priority": list(self.priority),
             "inport_start": {k: starts[k] for k in sorted(starts)},
             "partition_tag": list(self.partition_tag) if self.partition_tag else None,
-            "pinned": sorted(self.pinned),
         }
 
 
@@ -169,32 +164,16 @@ class ForwardingState:
         """
         tab = self.tables[node]
         prio = tab.priority
-        j = tab.start(inport)
-        if self.mode == MODE_SUFFIX:
-            for idx in range(j, len(prio) + 1):
-                out = prio[idx - 1]
-                if not dead(node, out):
-                    return out, idx
-            return None
-        # Greedy: demote (or pin) the return edge, which is viable even when
-        # it is not in the distance-ordered list.
-        pinned = inport is not None and inport in tab.pinned
-        if pinned and not dead(node, inport):
-            return inport, self._index_of(prio, inport)
-        for idx in range(j, len(prio) + 1):
+        # greedy demotes the return edge to a fallback after the list, where
+        # it is viable even when the distance-ordered list lacks it
+        back = inport if self.mode == MODE_GREEDY else None
+        for idx in range(tab.start(inport), len(prio) + 1):
             out = prio[idx - 1]
-            if out != inport and not dead(node, out):
+            if out != back and not dead(node, out):
                 return out, idx
-        if inport is not None and not pinned and not dead(node, inport):
-            return inport, self._index_of(prio, inport)
+        if back is not None and not dead(node, back):
+            return back, (prio.index(back) + 1 if back in prio else None)
         return None
-
-    @staticmethod
-    def _index_of(prio: list[str], out: str) -> int | None:
-        try:
-            return prio.index(out) + 1
-        except ValueError:
-            return None
 
     def to_json_dict(self) -> dict:
         return {

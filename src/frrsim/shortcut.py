@@ -48,11 +48,11 @@ Observations = dict[str, NodeObservation]
 
 @dataclass(frozen=True)
 class RuleChange:
-    """One audit record: an inport's suffix start moved (or a pin was set)."""
+    """One audit record: an inport's suffix start moved."""
 
     node: str
     inport: str | None
-    kind: str = "truncate"  # "truncate" | "pin"
+    kind: str = "truncate"
     old_start: int | None = None
     new_start: int | None = None
     outport: str | None = None
@@ -71,16 +71,10 @@ class RuleChange:
 def revert_changes(state: ForwardingState, changes: list[RuleChange]) -> None:
     """Undo recorded rule changes, newest first, restoring the prior state.
 
-    Exact because the truncation steps in this module record only what
-    they changed: a truncation stores the start it overwrote, and a pin
-    is recorded only when the inport was not pinned before.
+    Exact because every truncation stores the start it overwrote.
     """
     for change in reversed(changes):
-        table = state.tables[change.node]
-        if change.kind == "pin":
-            table.pinned.discard(change.inport)
-        else:
-            table.inport_start[change.inport] = change.old_start
+        state.tables[change.node].inport_start[change.inport] = change.old_start
 
 
 def _observations(trace: Trace) -> Observations:
@@ -106,10 +100,7 @@ def _replay(
 
 
 def apply_truncation(
-    state: ForwardingState,
-    topology: Topology,
-    failures: FailureSet,
-    observations: Observations,
+    state: ForwardingState, failures: FailureSet, observations: Observations
 ) -> list[RuleChange]:
     """Advance inport suffix starts to the lowest-priority observed outport.
 
@@ -180,39 +171,27 @@ def greedy_shortcut(
     failures: FailureSet,
     trace: Trace,
 ) -> list[RuleChange]:
-    """Greedy adaptation: pin observed bounce-backs, truncate the global order."""
+    """Greedy adaptation: truncate each used inport's view of the global order.
+
+    Greedy needs nothing beside the suffix truncation. A packet bounced
+    back v1 -> v2 -> v1 only when ``select`` at v2 took the return edge as
+    its fallback, so no live list entry other than v1 was left at or after
+    that inport's start. Within a fixpoint the failure set is fixed and
+    starts only grow, so that fallback stays forced: every later walk
+    through v2 from v1 bounces back the same way, with the same index, and
+    no rule has to remember the bounce.
+    """
     return _checked_step(MODE_GREEDY, state, topology, failures, trace)
 
 
 def _checked_step(
     mode: str, state: ForwardingState, topology: Topology, failures: FailureSet, trace: Trace
 ) -> list[RuleChange]:
-    """``_shortcut_step`` on a ``mode`` state, once ``trace`` replays against it."""
+    """One round's truncations from ``trace``, once it replays on a ``mode`` state."""
     if state.mode != mode:
         raise ValueError(f"{mode}-mode state required")
     trace = _replay(state, topology, failures, trace)
-    return _shortcut_step(state, topology, failures, trace)
-
-
-def _shortcut_step(
-    state: ForwardingState, topology: Topology, failures: FailureSet, trace: Trace
-) -> list[RuleChange]:
-    """One round's rule changes from a trace routed on the current state.
-
-    Greedy state first pins its bounce-backs: a local pattern v1 -> v2 -> v1
-    means bouncing back was v2's best greedy choice, so v2 pins "to v1" as
-    the top outport for the inport from v1. Every node then applies the
-    standard truncation (for greedy state, to its global distance order).
-    """
-    changes: list[RuleChange] = []
-    if state.mode == MODE_GREEDY:
-        for prev, hop in zip(trace.hops, trace.hops[1:]):
-            pinned = state.tables[hop.node].pinned
-            if hop.inport == prev.node == hop.outport and hop.inport not in pinned:
-                pinned.add(hop.inport)
-                changes.append(RuleChange(hop.node, hop.inport, "pin", outport=hop.outport))
-    changes.extend(apply_truncation(state, topology, failures, _observations(trace)))
-    return changes
+    return apply_truncation(state, failures, _observations(trace))
 
 
 @dataclass
@@ -261,7 +240,7 @@ def shortcut_fixpoint(
     traces = [route(state, topology, failures, flow)]
     result = FixpointResult(traces=traces, rounds=0)
     while traces[-1].outcome is Outcome.DELIVERED:
-        changes = _shortcut_step(state, topology, failures, traces[-1])
+        changes = apply_truncation(state, failures, _observations(traces[-1]))
         if not changes:
             break
         result.rounds += 1

@@ -223,8 +223,6 @@ class TestSweepUndo:
             for c in case.fixpoint.all_changes()
         ]
         assert changes, "the sweep must exercise the undo path"
-        if scheme == "greedy":
-            assert any(c.kind == "pin" for _, c in changes)
         if scheme == "partition":
             tags = lambda st, c: st.tables[c.node].partition_tag
             assert any(

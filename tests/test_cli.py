@@ -606,7 +606,11 @@ class TestTimelineCommand:
             ("capacities", {"S2": 1}, "throughput.capacities key 'S2' must be 'u,v'"),
             ("capacities", {"S,S1": "fast"},
              "throughput.capacities['S,S1'] must be a number, got 'fast'"),
+            ("capacities", {"S,S1": True}, "throughput.capacities['S,S1'] must be a number, got True"),
             ("horizon", "x", "throughput.horizon must be a number, got 'x'"),
+            ("sample_step", True, "throughput.sample_step must be a number, got True"),
+            ("control_plane_delay", False,
+             "throughput.control_plane_delay must be a number, got False"),
             ("horizn", 9, "unknown throughput fields: ['horizn']"),
             ("background_flows", [FIGURE1_BACKGROUND, FIGURE1_BACKGROUND],
              "throughput.background_flows[1] repeats flow id 'S2->H'"),
@@ -616,7 +620,8 @@ class TestTimelineCommand:
              "throughput.background_flows[0].route must be a list of nodes from source to "
              "destination"),
         ],
-        ids=["capacity-key-without-comma", "capacity-rate-word", "horizon-word",
+        ids=["capacity-key-without-comma", "capacity-rate-word", "capacity-rate-boolean",
+             "horizon-word", "sample-step-boolean", "control-plane-delay-boolean",
              "unknown-key", "background-repeated",
              "background-unknown-key", "background-route-misses-destination"],
     )

@@ -4,7 +4,7 @@ Speed-ups must leave every output byte-identical, so these digests only
 change with a deliberate behaviour change. Such a change updates the digests
 below and records why in CHANGES.md. Scenarios: both bundled configs
 (``run``, ``verify`` and, for figure1, ``timeline``), plus all-pairs link
-sweeps that exercise greedy pins (hypercube(3)) and cross-partition
+sweeps that exercise greedy bounce-backs (hypercube(3)) and cross-partition
 truncation (k=2 on torus(3,3)), a node sweep (arborescence k=4 on
 torus(4,4); every failure set is rounds-checked, not only single links),
 and an all-pairs timeline on torus(4,4) with mixed link rates, a
@@ -111,7 +111,7 @@ GOLDEN = {
         "traces.json": "cf0f3fcd132976eb3fe35025ab5a2c802dd3845c7d24a042822e03933dd5d2fa",
         "report.csv": "a84f83a4eac9a6c67c70ec191d66507caa42e37f32afc8d404cf2021a6447870",
         "report.json": "bd7a8019db12a7affd3b819e41913b2dbb65c22f7a3cfdf54c2fecb049cbf8e3",
-        "audit.jsonl": "163a97b781f6618a972b63f68ca03a31b6af5c60bbea92327b0343b2b1063398",
+        "audit.jsonl": "ef02803d006d4b38187d73583747b3ac530f6ce011753a68c501bc3b16b9babd",
     },
     ("partition2_torus33", "run"): {
         "traces.json": "f7e630b2cbfbc2814bffaebce7dc54feeff8b26f83640e054114cf98fd282cea",

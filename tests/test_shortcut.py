@@ -27,6 +27,7 @@ from frrsim import (
     route,
     run_failure_sweep,
     shortcut_fixpoint,
+    shortest_route,
 )
 from frrsim.analysis import enumerate_link_failures, enumerate_node_failures
 from frrsim.forwarding import MODE_GREEDY, MODE_SUFFIX
@@ -39,6 +40,7 @@ from frrsim.shortcut import (
     apply_truncation,
     revert_changes,
 )
+from frrsim.topology import bfs_distances
 
 from test_analysis import NODE_SET_GRAPH, SCHEME_COMPILERS, all_pairs
 
@@ -60,8 +62,6 @@ class TestRevertChanges:
                 RuleChange("S1", "S", old_start=table.inport_start["S"], new_start=new_start)
             )
             table.inport_start["S"] = new_start
-        table.pinned.add("S2")
-        changes.append(RuleChange("S1", "S2", kind="pin", outport="S2"))
         revert_changes(figure1_state, changes)
         assert figure1_state.to_json_dict() == before
 
@@ -118,7 +118,7 @@ class TestObserveAndTruncate:
         obs = {
             "v": NodeObservation(inports={"p", "q"}, exits={("x", 1), ("y", 2)})
         }
-        changes = apply_truncation(state, t, FailureSet.none(), obs)
+        changes = apply_truncation(state, FailureSet.none(), obs)
         assert state.tables["v"].inport_start["p"] == 2  # h1=1 < h2=2 -> adopt h2
         assert state.tables["v"].inport_start["q"] == 2  # unchanged (already there)
         assert len(changes) == 1
@@ -176,10 +176,10 @@ class TestShortcutProperties:
         trace = route(figure1_state, figure1, s2s4_failure, figure1_flow)
         obs = _observations(trace)
         batch = figure1_state.copy()
-        apply_truncation(batch, figure1, s2s4_failure, obs)
+        apply_truncation(batch, s2s4_failure, obs)
         for node in obs:
             solo = figure1_state.copy()
-            apply_truncation(solo, figure1, s2s4_failure, {node: obs[node]})
+            apply_truncation(solo, s2s4_failure, {node: obs[node]})
             assert solo.tables[node].inport_start == batch.tables[node].inport_start
 
     def test_order_independence_of_single_truncations(
@@ -188,7 +188,7 @@ class TestShortcutProperties:
         trace = route(figure1_state, figure1, s2s4_failure, figure1_flow)
         obs = _observations(trace)
         batch = figure1_state.copy()
-        apply_truncation(batch, figure1, s2s4_failure, obs)
+        apply_truncation(batch, s2s4_failure, obs)
 
         events = [
             (node, inport, exit_)
@@ -204,7 +204,7 @@ class TestShortcutProperties:
             for _ in range(len(events)):
                 for node, inport, exit_ in events:
                     singleton = {node: NodeObservation(inports={inport}, exits={exit_})}
-                    apply_truncation(state, figure1, s2s4_failure, singleton)
+                    apply_truncation(state, s2s4_failure, singleton)
             for node in state.tables:
                 assert state.tables[node].inport_start == batch.tables[node].inport_start
 
@@ -346,17 +346,19 @@ class TestPartitionShortcut:
 
 
 class TestGreedyShortcut:
-    def test_figure1_pin_plus_truncation(self, figure1, figure1_flow, s2s4_failure):
+    def test_figure1_one_truncation_at_s1(self, figure1, figure1_flow, s2s4_failure):
         state = compile_greedy_frr(figure1, figure1_flow)
         trace = route(state, figure1, s2s4_failure, figure1_flow)
         assert trace.path_string() == "S-S1-S2-S1-S3-S4-D"
+        before = state.to_json_dict()
         changes = greedy_shortcut(state, figure1, s2s4_failure, trace)
-        pins = [c for c in changes if c.kind == "pin"]
-        assert [(p.node, p.inport, p.outport) for p in pins] == [("S2", "S1", "S1")]
+        assert changes == [RuleChange("S1", "S", old_start=1, new_start=2)]
+        before["tables"]["S1"]["inport_start"]["S"] = 2
+        assert state.to_json_dict() == before
         final = route(state, figure1, s2s4_failure, figure1_flow)
         assert final.path_string() == "S-S1-S3-S4-D"
 
-    def test_no_bounceback_no_pin(self, figure1, figure1_flow):
+    def test_failure_free_walk_changes_nothing(self, figure1, figure1_flow):
         state = compile_greedy_frr(figure1, figure1_flow)
         trace = route(state, figure1, FailureSet.none(), figure1_flow)
         assert greedy_shortcut(state, figure1, FailureSet.none(), trace) == []
@@ -373,11 +375,11 @@ class TestGreedyShortcut:
         }
         state = ForwardingState(Flow("p", "x"), MODE_GREEDY, tables)
         from_p = {"v": NodeObservation(inports={"p"}, exits={("x", 2)})}
-        assert apply_truncation(state, t, FailureSet.none(), from_p) == []
+        assert apply_truncation(state, FailureSet.none(), from_p) == []
         assert state.tables["v"].inport_start["p"] == 1
         # from q, the live entry p is skipped and the start moves
         from_q = {"v": NodeObservation(inports={"q"}, exits={("x", 2)})}
-        assert apply_truncation(state, t, FailureSet.none(), from_q) == [
+        assert apply_truncation(state, FailureSet.none(), from_q) == [
             RuleChange("v", "q", old_start=1, new_start=2)]
 
     def test_square_all_single_failures_end_loop_free(self, square):
@@ -398,9 +400,10 @@ class TestGreedyShortcut:
     ):
         state = compile_greedy_frr(figure1, figure1_flow)
         trace = route(state, figure1, s2s4_failure, figure1_flow)
+        before = state.to_json_dict()
         with pytest.raises(ValueError, match="does not replay"):
             greedy_shortcut(state, figure1, FailureSet.none(), trace)
-        assert not any(t.pinned for t in state.tables.values())
+        assert state.to_json_dict() == before
 
 
 class TestOneWalkPerRound:
@@ -498,17 +501,40 @@ def test_shortcut_result_is_the_loop_erased_walk_on_small_atlas_graphs():
 
 @st.composite
 def graphs_and_failure_sets(draw):
-    """A random 2-edge-connected graph of 3 to 8 nodes and a few failure
-    sets of up to 3 links and up to 2 nodes each."""
+    """A random 2-edge-connected graph of 3 to 8 nodes and up to six failure
+    sets, each one of three kinds, the last two favouring looping walks:
+      * up to 3 links and up to 2 nodes, anywhere;
+      * 1 to 3 links of a failure-free walk between two far-apart nodes
+        (a shortest path, which failure-free walks mostly follow);
+      * every link of an inner node of such a walk but the one the walk
+        enters by, so that a walk reaching it bounces back."""
     t = build_topology({"kind": "random", "n": draw(st.integers(3, 8)),
                         "p": draw(st.sampled_from([0.4, 0.6, 0.8])),
                         "seed": draw(st.integers(0, 10_000)), "min_edge_connectivity": 2})
-    failure_set = st.builds(
-        lambda links, nodes: FailureSet.of(links=links, nodes=nodes),
-        st.lists(st.sampled_from(t.links), max_size=3, unique=True),
-        st.lists(st.sampled_from(t.nodes), max_size=2, unique=True),
+    adj = t.arc_adjacency()
+    dist = {(a, b): d for a in t.nodes for b, d in bfs_distances(adj, a).items() if a != b}
+    # the quarter of ordered pairs farthest apart: their walks have inner nodes
+    far = sorted(dist, key=lambda pair: (-dist[pair], pair))[: max(2, len(dist) // 4)]
+    walks = st.sampled_from(far).map(lambda pair: shortest_route(t, FailureSet.none(), *pair))
+
+    def dead_end(walk):
+        if len(walk) == 2:
+            return st.just(FailureSet.of(links=[walk]))
+        return st.integers(1, len(walk) - 2).map(lambda i: FailureSet.of(
+            links=[(walk[i], x) for x in t.neighbors(walk[i]) if x != walk[i - 1]]))
+
+    failure_set = st.one_of(
+        st.builds(
+            lambda links, nodes: FailureSet.of(links=links, nodes=nodes),
+            st.lists(st.sampled_from(t.links), max_size=3, unique=True),
+            st.lists(st.sampled_from(t.nodes), max_size=2, unique=True),
+        ),
+        walks.flatmap(lambda walk: st.lists(
+            st.sampled_from(list(zip(walk, walk[1:]))), min_size=1, max_size=3, unique=True,
+        )).map(lambda links: FailureSet.of(links=links)),
+        walks.flatmap(dead_end),
     )
-    return t, draw(st.lists(failure_set, min_size=1, max_size=4))
+    return t, draw(st.lists(failure_set, min_size=1, max_size=6))
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None,
