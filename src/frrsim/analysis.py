@@ -244,7 +244,7 @@ class SweepReport:
         }
 
 
-def _check_case(case: CaseResult, fp: FixpointResult, check_rounds: bool) -> None:
+def _check_case(case: CaseResult, fp: FixpointResult) -> None:
     initial = fp.initial_trace
     final = fp.final_trace
     case.looped_before = not initial.is_simple()
@@ -273,11 +273,9 @@ def _check_case(case: CaseResult, fp: FixpointResult, check_rounds: bool) -> Non
     if case.looped_before and not case.loads_strictly_reduced:
         case.violations.append("load_not_reduced")
 
-    if check_rounds:
-        expected = 1 if case.looped_before else 0
-        case.rounds_as_expected = fp.rounds == expected
-        if not case.rounds_as_expected:
-            case.violations.append("rounds_mismatch")
+    case.rounds_as_expected = fp.rounds == (1 if case.looped_before else 0)
+    if not case.rounds_as_expected:
+        case.violations.append("rounds_mismatch")
 
 
 def run_failure_sweep(
@@ -285,7 +283,6 @@ def run_failure_sweep(
     compile_state: Callable[[Flow], ForwardingState],
     flows: Sequence[Flow],
     failure_sets: Sequence[FailureSet],
-    check_rounds: bool = True,
 ) -> SweepReport:
     """Run the shortcut fixpoint for every (flow, failure) pair and verify it.
 
@@ -298,10 +295,9 @@ def run_failure_sweep(
     excluded from the guarantee checks; an exception is recorded as the
     case's verdict.
 
-    With ``check_rounds`` (the default), every delivered case is also held
-    to the one-round guarantee, whatever its failure set: one truncating
-    round if its initial walk looped, none otherwise. ``check_rounds=False``
-    checks no case and leaves ``rounds_as_expected`` None.
+    Every delivered case is also held to the one-round guarantee, whatever
+    its failure set: one truncating round if its initial walk looped, none
+    otherwise.
 
     Each flow first runs, unreported, the case with nothing failed. If it
     is delivered in 0 rounds with no violation, it is the template of every
@@ -360,7 +356,7 @@ def run_failure_sweep(
                 case.verdict = "frr_failed"
                 case.hops_before = fp.initial_trace.hop_count
             else:
-                _check_case(case, fp, check_rounds)
+                _check_case(case, fp)
                 optimal = distance(index, flow)
                 case.stretch_before = _over_optimal(fp.initial_trace, optimal)
                 if fp.delivered:

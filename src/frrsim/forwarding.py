@@ -88,19 +88,11 @@ class Trace:
 class PortTable:
     """Per (node, flow) forwarding rules."""
 
-    __slots__ = ("priority", "inport_start", "partition_tag")
+    __slots__ = ("priority", "inport_start")
 
-    def __init__(
-        self,
-        priority: list[str],
-        inport_start: dict[str | None, int],
-        partition_tag: list[int] | None = None,
-    ):
+    def __init__(self, priority: list[str], inport_start: dict[str | None, int]):
         self.priority = list(priority)
         self.inport_start = dict(inport_start)
-        self.partition_tag = list(partition_tag) if partition_tag is not None else None
-        if self.partition_tag is not None and len(self.partition_tag) != len(self.priority):
-            raise ValueError("partition_tag must parallel the priority list")
         k = len(self.priority)
         for inport, j in self.inport_start.items():
             if not 1 <= j <= k + 1:
@@ -114,7 +106,6 @@ class PortTable:
         table = object.__new__(PortTable)
         table.priority = list(self.priority)
         table.inport_start = dict(self.inport_start)
-        table.partition_tag = None if self.partition_tag is None else list(self.partition_tag)
         return table
 
     def to_json_dict(self) -> dict:
@@ -125,7 +116,6 @@ class PortTable:
         return {
             "priority": list(self.priority),
             "inport_start": {k: starts[k] for k in sorted(starts)},
-            "partition_tag": list(self.partition_tag) if self.partition_tag else None,
         }
 
 
@@ -146,11 +136,6 @@ class ForwardingState:
     def copy(self) -> "ForwardingState":
         return ForwardingState(
             self.flow, self.mode, {n: t.copy() for n, t in self.tables.items()}
-        )
-
-    def is_partition_tagged(self) -> bool:
-        return self.mode == MODE_SUFFIX and any(
-            t.partition_tag is not None for t in self.tables.values()
         )
 
     def select(

@@ -327,12 +327,12 @@ def compute_disjoint_paths(topology: Topology, flow: Flow, k: int) -> PartitionS
 def compile_partition_frr(
     topology: Topology, scheme: PartitionScheme, flow: Flow
 ) -> ForwardingState:
-    """Compile path-partition failover into tagged inport suffix rules.
+    """Compile path-partition failover into inport suffix rules.
 
     Forwarding walks P_i; hitting a failed P_i link bounces the packet back
     along P_i until the node where P_{i+1} diverges (the source, for fully
     disjoint paths), which emits it on P_{i+1}. Every rule is a contiguous
-    priority-list tail and carries its partition index as a tag.
+    priority-list tail, and each list holds its entries path by path.
 
     One pass over the paths lays out each node's list: on P_i it lists P_i's
     next hop, then P_i's previous hop unless it is P_i's source or P_{i+1}
@@ -350,26 +350,23 @@ def compile_partition_frr(
     scheme.validate(topology)
     paths = scheme.paths
     entry_out: dict[str, list[str]] = {v: [] for v in topology.nodes}
-    entry_tag: dict[str, list[int]] = {v: [] for v in topology.nodes}
     inport_start: dict[tuple[str, str], int] = {}  # (node, inport) -> first entry
     for i, path in enumerate(paths, start=1):
         for p, v in enumerate(path[:-1]):
             entry_out[v].append(path[p + 1])
-            entry_tag[v].append(i)
             here = len(entry_out[v])
             inport_start.setdefault((v, path[p + 1]), here + 1)
             if p > 0:
                 inport_start.setdefault((v, path[p - 1]), here)
                 if i == len(paths) or paths[i][: p + 1] != path[: p + 1]:
                     entry_out[v].append(path[p - 1])
-                    entry_tag[v].append(i)
 
     tables: dict[str, PortTable] = {}
     for v in topology.nodes:
         starts: dict[str | None, int] = {None: 1}
         for u in topology.neighbors(v):
             starts[u] = inport_start.get((v, u), 1)
-        tables[v] = PortTable(entry_out[v], starts, partition_tag=entry_tag[v] or None)
+        tables[v] = PortTable(entry_out[v], starts)
     return ForwardingState(flow, MODE_SUFFIX, tables)
 
 

@@ -16,31 +16,25 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .forwarding import (
-    MODE_GREEDY,
-    MODE_SUFFIX,
-    ForwardingState,
-    Outcome,
-    Trace,
-    route,
-)
+from .forwarding import MODE_GREEDY, ForwardingState, Outcome, Trace, route
 from .topology import FailureSet, Flow, Topology
 
 
 @dataclass
 class NodeObservation:
-    """What one node saw of a trace: inports entered and outports taken.
+    """What one node saw of a trace: inports entered, deepest exit taken.
 
-    Exit indices are node-level knowledge; every inport the packet used
-    compares its own suffix against all of them. Inports the packet never
+    The deepest exit is the largest priority index of the outports the
+    packet left by. It is node-level knowledge; every inport the packet
+    used compares its own suffix against it. Inports the packet never
     used keep their rules: they would adapt the moment they see traffic,
     and leaving them put is what keeps a loop-free failover from counting
-    as a truncating round. A None exit index marks a greedy return edge
-    that is not in the node's distance-ordered list.
+    as a truncating round. It is None when every exit was a greedy return
+    edge that is not in the node's distance-ordered list.
     """
 
     inports: set[str | None] = field(default_factory=set)
-    exits: set[tuple[str, int | None]] = field(default_factory=set)
+    deepest: int | None = None
 
 
 Observations = dict[str, NodeObservation]
@@ -52,19 +46,19 @@ class RuleChange:
 
     node: str
     inport: str | None
-    kind: str = "truncate"
     old_start: int | None = None
     new_start: int | None = None
-    outport: str | None = None
 
     def to_json_dict(self) -> dict:
+        # every change is a truncation and names no outport; the constant
+        # keys keep the audit.jsonl line format
         return {
             "node": self.node,
             "inport": self.inport if self.inport is not None else "",
-            "kind": self.kind,
+            "kind": "truncate",
             "old_start": self.old_start,
             "new_start": self.new_start,
-            "outport": self.outport,
+            "outport": None,
         }
 
 
@@ -83,7 +77,8 @@ def _observations(trace: Trace) -> Observations:
     for hop in trace.hops:
         node_obs = obs.setdefault(hop.node, NodeObservation())
         node_obs.inports.add(hop.inport)
-        node_obs.exits.add((hop.outport, hop.index))
+        if hop.index is not None and (node_obs.deepest is None or hop.index > node_obs.deepest):
+            node_obs.deepest = hop.index
     return obs
 
 
@@ -104,16 +99,15 @@ def apply_truncation(
 ) -> list[RuleChange]:
     """Advance inport suffix starts to the lowest-priority observed outport.
 
-    For every observed node and every inport the packet used there: find
-    the largest observed index inside the inport's current suffix; if it
-    lies beyond the suffix's first *live* entry, move the start there. For
-    greedy state the inport's own link, the return edge, is not such an
-    entry: ``select`` never takes it from the list, so skipping only it
-    would be a rule change that moves no hop. The rule needs no partition
-    awareness: partition failover lays its entries out partition by
-    partition, so tags never decrease along a priority list and the first
-    live entry is also the first live entry of the earliest partition with
-    one. An observed exit into a later partition thus truncates only when
+    For every observed node and every inport the packet used there: if the
+    node's deepest exit lies beyond the first *live* entry of the inport's
+    current suffix, move the start there. For greedy state the inport's own
+    link, the return edge, is not such an entry: ``select`` never takes it
+    from the list, so skipping only it would be a rule change that moves no
+    hop. The rule is the same for every scheme. Partition failover lays out
+    each list path by path, every entry of P_i before any of P_{i+1}, so
+    the first live entry is also the first live entry of the earliest path
+    with one. An observed exit onto a later path thus truncates only when
     it lies beyond that entry; when it is that entry, the walk was a plain
     failover and the rule stays.
     """
@@ -122,7 +116,7 @@ def apply_truncation(
     for node in sorted(observations):
         table = state.tables[node]
         node_obs = observations[node]
-        deepest = max((idx for (_, idx) in node_obs.exits if idx is not None), default=None)
+        deepest = node_obs.deepest
         if deepest is None:
             continue
         for inport in sorted(
@@ -149,49 +143,23 @@ def observe_and_truncate(
     failures: FailureSet,
     trace: Trace,
 ) -> list[RuleChange]:
-    """Standard suffix truncation from one probe trace (mutates the state)."""
-    return _checked_step(MODE_SUFFIX, state, topology, failures, trace)
+    """One round's truncations from one probe trace (mutates the state).
 
-
-def partition_shortcut(
-    state: ForwardingState,
-    topology: Topology,
-    failures: FailureSet,
-    trace: Trace,
-) -> list[RuleChange]:
-    """Suffix truncation on partition-failover state (see ``apply_truncation``)."""
-    if not state.is_partition_tagged():
-        raise ValueError("partition-tagged state required")
-    return observe_and_truncate(state, topology, failures, trace)
-
-
-def greedy_shortcut(
-    state: ForwardingState,
-    topology: Topology,
-    failures: FailureSet,
-    trace: Trace,
-) -> list[RuleChange]:
-    """Greedy adaptation: truncate each used inport's view of the global order.
-
-    Greedy needs nothing beside the suffix truncation. A packet bounced
-    back v1 -> v2 -> v1 only when ``select`` at v2 took the return edge as
-    its fallback, so no live list entry other than v1 was left at or after
-    that inport's start. Within a fixpoint the failure set is fixed and
-    starts only grow, so that fallback stays forced: every later walk
-    through v2 from v1 bounces back the same way, with the same index, and
-    no rule has to remember the bounce.
+    The trace must replay on the state; the step then applies
+    ``apply_truncation``, whose rule serves every scheme. Greedy needs
+    nothing beside it. A packet bounced back v1 -> v2 -> v1 only when
+    ``select`` at v2 took the return edge as its fallback, so no live list
+    entry other than v1 was left at or after that inport's start. Within a
+    fixpoint the failure set is fixed and starts only grow, so that fallback
+    stays forced: every later walk through v2 from v1 bounces back the same
+    way, with the same index, and no rule has to remember the bounce.
     """
-    return _checked_step(MODE_GREEDY, state, topology, failures, trace)
-
-
-def _checked_step(
-    mode: str, state: ForwardingState, topology: Topology, failures: FailureSet, trace: Trace
-) -> list[RuleChange]:
-    """One round's truncations from ``trace``, once it replays on a ``mode`` state."""
-    if state.mode != mode:
-        raise ValueError(f"{mode}-mode state required")
     trace = _replay(state, topology, failures, trace)
     return apply_truncation(state, failures, _observations(trace))
+
+
+# partition and greedy state take the same step
+partition_shortcut = greedy_shortcut = observe_and_truncate
 
 
 @dataclass
@@ -229,7 +197,7 @@ def shortcut_fixpoint(
     A walk that never looped left each node once, by the first entry of its
     suffix that ``select`` could take, so it changes no rule and the result
     has 0 rounds. A walk that looped is expected to need exactly 1, whatever
-    the failure set; sweeps check this (``check_rounds``), nothing proves it.
+    the failure set; sweeps check this for every case, nothing proves it.
 
     Each round is one walk: the step reads the priority indices that
     ``route`` recorded on the hops. A non-delivered trace at any round is

@@ -94,7 +94,6 @@ def full_sweep_reports():
             _arborescence_compiler(topology, k),
             flows,
             enumerate_link_failures(topology),
-            check_rounds=True,
         )
     elapsed = time.perf_counter() - started
     return reports, elapsed
@@ -243,7 +242,6 @@ def test_criterion_7_node_failures():
         _arborescence_compiler(topology, 4),
         flows,
         enumerate_node_failures(topology),
-        check_rounds=False,
     )
     assert report.total_violations == 0
     delivered = sum(1 for c in report.cases if c.verdict == "delivered")

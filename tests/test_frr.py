@@ -395,14 +395,15 @@ class TestPartitionCompile:
     @pytest.mark.parametrize("desc", ["torus(4,4)", "hypercube(4)", "complete(5)"])
     def test_partition_tags_never_decrease_along_a_priority_list(self, desc):
         # Suffix truncation relies on this: a later partition's entries sit
-        # after every entry of the partitions before it.
+        # after every entry of the partitions before it. The compiled state
+        # holds no path index; the reference layout, which it matches, does.
         t = build_topology(desc)
         for k in range(2, edge_connectivity(t) + 1):
             for a, b in itertools.permutations(t.nodes, 2):
                 flow = Flow(a, b)
-                state = compile_partition_frr(t, compute_disjoint_paths(t, flow, k), flow)
-                for node, table in state.tables.items():
-                    tags = table.partition_tag or []
+                scheme = compute_disjoint_paths(t, flow, k)
+                _, entry_path = reference_compile_partition_frr(t, scheme, flow)
+                for node, tags in entry_path.items():
                     assert tags == sorted(tags), (k, flow.flow_id, node)
 
     def test_mid_route_overlap_rejected_even_relaxed(self):
@@ -421,7 +422,9 @@ class TestPartitionCompile:
 
 def reference_compile_partition_frr(topology, scheme, flow):
     """The partition compiler as it stood before the one-pass layout, verbatim
-    but for the names: the oracle the one-pass compiler must match."""
+    but for the names: the oracle the one-pass compiler must match. Also
+    returns, per node, the path index of each priority entry, which the
+    compiled state does not hold."""
     if (flow.source, flow.destination) != (scheme.flow.source, scheme.flow.destination):
         raise ValueError("scheme was built for a different flow")
     scheme.validate(topology)
@@ -455,8 +458,8 @@ def reference_compile_partition_frr(topology, scheme, flow):
         starts: dict[str | None, int] = {None: 1}
         for u in topology.neighbors(v):
             starts[u] = reference_partition_inport_start(v, u, paths, pos, entry_idx[v], k)
-        tables[v] = PortTable(prio, starts, partition_tag=entry_tag[v] or None)
-    return ForwardingState(flow, MODE_SUFFIX, tables)
+        tables[v] = PortTable(prio, starts)
+    return ForwardingState(flow, MODE_SUFFIX, tables), entry_tag
 
 
 def reference_partition_inport_start(
@@ -523,7 +526,7 @@ class TestPartitionCompileMatchesReference:
     def assert_same_tables(topology, scheme):
         flow = scheme.flow
         assert (compile_partition_frr(topology, scheme, flow).to_json_dict()
-                == reference_compile_partition_frr(topology, scheme, flow).to_json_dict()), (
+                == reference_compile_partition_frr(topology, scheme, flow)[0].to_json_dict()), (
             scheme.paths)
 
     @pytest.mark.parametrize("desc", [

@@ -115,19 +115,33 @@ class TestObserveAndTruncate:
             "y": PortTable([], {None: 1}),
         }
         state = ForwardingState(flow, MODE_SUFFIX, tables)
-        obs = {
-            "v": NodeObservation(inports={"p", "q"}, exits={("x", 1), ("y", 2)})
-        }
+        # exits by x (index 1) and y (index 2): the deeper one counts
+        obs = {"v": NodeObservation(inports={"p", "q"}, deepest=2)}
         changes = apply_truncation(state, FailureSet.none(), obs)
         assert state.tables["v"].inport_start["p"] == 2  # h1=1 < h2=2 -> adopt h2
         assert state.tables["v"].inport_start["q"] == 2  # unchanged (already there)
         assert len(changes) == 1
 
-    def test_greedy_state_is_rejected(self, figure1, figure1_flow, s2s4_failure):
-        state = compile_greedy_frr(figure1, figure1_flow)
+    @pytest.mark.parametrize("scheme", ["arborescence", "partition", "greedy"])
+    def test_one_step_serves_every_scheme(
+        self, figure1_state, figure1, figure1_flow, s2s4_failure, scheme
+    ):
+        if scheme == "arborescence":
+            # figure1 packs one arborescence, whose walk S-S1-S2 drops: no round
+            (arb,) = decompose_arborescences(figure1, "D", 1)
+            state = compile_arborescence_frr(figure1, [arb], figure1_flow)
+        elif scheme == "partition":
+            state = figure1_state
+        else:
+            state = compile_greedy_frr(figure1, figure1_flow)
+        fp = shortcut_fixpoint(state.copy(), figure1, s2s4_failure, figure1_flow)
+        first_round = fp.changes_per_round[0] if fp.rounds else []
+        assert fp.rounds == (scheme != "arborescence")
         trace = route(state, figure1, s2s4_failure, figure1_flow)
-        with pytest.raises(ValueError, match="^suffix-mode state required$"):
-            observe_and_truncate(state, figure1, s2s4_failure, trace)
+        assert observe_and_truncate(state, figure1, s2s4_failure, trace) == first_round
+
+    def test_step_names_are_one_function(self):
+        assert partition_shortcut is greedy_shortcut is observe_and_truncate
 
     def test_foreign_trace_is_rejected(self, figure1_state, figure1, figure1_flow, s2s4_failure):
         other_state = compile_greedy_frr(figure1, Flow("H", "D"))
@@ -149,7 +163,7 @@ class TestObservations:
         self, figure1_state, figure1, figure1_flow, s2s4_failure, index
     ):
         trace = route(figure1_state, figure1, s2s4_failure, figure1_flow)
-        assert _observations(trace)["S1"].exits == {("S2", 1), ("S3", 2)}
+        assert _observations(trace)["S1"].deepest == 2  # exits by S2 (1) and S3 (2)
         rebuilt = Trace(
             trace.flow_id,
             tuple(Hop(h.node, h.inport, h.outport, index) for h in trace.hops),
@@ -191,10 +205,10 @@ class TestShortcutProperties:
         apply_truncation(batch, s2s4_failure, obs)
 
         events = [
-            (node, inport, exit_)
+            (node, inport, index)
             for node, node_obs in obs.items()
             for inport in sorted(node_obs.inports, key=str)
-            for exit_ in sorted(node_obs.exits)
+            for index in sorted({hop.index for hop in trace.hops if hop.node == node})
         ]
         rng = random.Random(0)
         for _ in range(10):
@@ -202,8 +216,8 @@ class TestShortcutProperties:
             state = figure1_state.copy()
             # apply singleton observations repeatedly until stable
             for _ in range(len(events)):
-                for node, inport, exit_ in events:
-                    singleton = {node: NodeObservation(inports={inport}, exits={exit_})}
+                for node, inport, index in events:
+                    singleton = {node: NodeObservation(inports={inport}, deepest=index)}
                     apply_truncation(state, s2s4_failure, singleton)
             for node in state.tables:
                 assert state.tables[node].inport_start == batch.tables[node].inport_start
@@ -337,13 +351,6 @@ class TestPartitionShortcut:
         assert partition_shortcut(state, square, failures, trace) == []
         assert shortcut_fixpoint(state, square, failures, flow).rounds == 0
 
-    def test_untagged_state_is_rejected(self, figure1, figure1_flow, s2s4_failure):
-        (arb,) = decompose_arborescences(figure1, "D", 1)
-        state = compile_arborescence_frr(figure1, [arb], figure1_flow)
-        trace = route(state, figure1, s2s4_failure, figure1_flow)
-        with pytest.raises(ValueError, match="^partition-tagged state required$"):
-            partition_shortcut(state, figure1, s2s4_failure, trace)
-
 
 class TestGreedyShortcut:
     def test_figure1_one_truncation_at_s1(self, figure1, figure1_flow, s2s4_failure):
@@ -374,11 +381,11 @@ class TestGreedyShortcut:
             "x": PortTable([], {None: 1}),
         }
         state = ForwardingState(Flow("p", "x"), MODE_GREEDY, tables)
-        from_p = {"v": NodeObservation(inports={"p"}, exits={("x", 2)})}
+        from_p = {"v": NodeObservation(inports={"p"}, deepest=2)}
         assert apply_truncation(state, FailureSet.none(), from_p) == []
         assert state.tables["v"].inport_start["p"] == 1
         # from q, the live entry p is skipped and the start moves
-        from_q = {"v": NodeObservation(inports={"q"}, exits={("x", 2)})}
+        from_q = {"v": NodeObservation(inports={"q"}, deepest=2)}
         assert apply_truncation(state, FailureSet.none(), from_q) == [
             RuleChange("v", "q", old_start=1, new_start=2)]
 
@@ -389,11 +396,6 @@ class TestGreedyShortcut:
             fp = shortcut_fixpoint(state, square, failures, flow)
             assert fp.delivered
             assert fp.final_trace.is_simple()
-
-    def test_suffix_state_is_rejected(self, figure1_state, figure1, figure1_flow, s2s4_failure):
-        trace = route(figure1_state, figure1, s2s4_failure, figure1_flow)
-        with pytest.raises(ValueError, match="^greedy-mode state required$"):
-            greedy_shortcut(figure1_state, figure1, s2s4_failure, trace)
 
     def test_trace_under_other_failures_does_not_replay(
         self, figure1, figure1_flow, s2s4_failure

@@ -134,8 +134,8 @@ traces = st.builds(
     outcome=st.sampled_from(list(Outcome)), final_node=names, loop_inport=maybe_name,
 )
 changes = st.builds(
-    RuleChange, node=names, inport=maybe_name, kind=st.sampled_from(["truncate", "pin"]),
-    old_start=st.none() | small, new_start=st.none() | small, outport=maybe_name,
+    RuleChange, node=names, inport=maybe_name,
+    old_start=st.none() | small, new_start=st.none() | small,
 )
 fixpoints = st.builds(
     FixpointResult, traces=st.lists(traces, min_size=1, max_size=3), rounds=small,
@@ -194,7 +194,7 @@ def covering_report() -> SweepReport:
         ],
         rounds=1,
         changes_per_round=[[RuleChange("S", "A", old_start=0, new_start=1)],
-                           [RuleChange(AWKWARD, None, kind="pin", outport="A")]],
+                           [RuleChange(AWKWARD, None)]],
     )
     return make_report([
         CaseResult("S->D", "link:A-B", "delivered", 2, 2, 1.0, 1.0, 0, fixpoint=shared),
