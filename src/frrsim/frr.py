@@ -29,9 +29,11 @@ from .forwarding import MODE_GREEDY, MODE_SUFFIX, ForwardingState, PortTable
 from .topology import (
     Flow,
     Topology,
+    augmenting_path,
     bfs_distances,
     canon_link,
     edge_connectivity,
+    push_unit,
     unit_max_flow,
 )
 
@@ -59,14 +61,25 @@ class Arborescence:
         return path
 
     def validate(self, topology: Topology) -> None:
+        """Spanning, on topology links, and acyclic, in time linear in n.
+
+        Each node is walked up only to the first node known to reach root.
+        """
         expected = set(topology.nodes) - {self.root}
         if set(self.parent) != expected:
             raise DecompositionError("arborescence does not span all nodes")
         for v, p in self.parent.items():
             if not topology.has_link(v, p):
                 raise DecompositionError(f"arc ({v}, {p}) is not a topology link")
+        reaches = {self.root}
         for v in self.parent:
-            self.path_to_root(v)
+            walk = []
+            while v not in reaches:
+                walk.append(v)
+                v = self.parent[v]
+                if len(walk) > len(self.parent):
+                    raise DecompositionError("parent map contains a cycle")
+            reaches.update(walk)
 
 
 def validate_disjoint(arborescences: Sequence[Arborescence], topology: Topology) -> None:
@@ -93,39 +106,142 @@ def _adj_of(arcs: Iterable[tuple[str, str]]) -> dict[str, set[str]]:
     return adj
 
 
+class _Witnesses:
+    """One witness flow per non-root node, carried through every tree of a root.
+
+    The witness of x is a unit flow of ``value[x]`` from root to x inside the
+    residual, kept as net arcs: ``succ[x][a]`` and ``pred[x][a]`` hold the
+    heads and tails of its arcs out of and into a. Each witness starts with
+    ``paths`` units, the first from one BFS tree shared by all nodes and the
+    rest by augmenting paths; after that it is repaired, never recomputed.
+    """
+
+    def __init__(
+        self, residual: Mapping[str, set[str]], order: Mapping[str, Sequence[str]],
+        root: str, paths: int,
+    ) -> None:
+        self.root = root
+        self.value: dict[str, int] = {}
+        self.succ: dict[str, dict[str, set[str]]] = {}
+        self.pred: dict[str, dict[str, set[str]]] = {}
+        if paths < 2:
+            return  # a lone tree checks no arc
+        first = {root: root}
+        queue = [root]
+        for a in queue:
+            for b in order[a]:
+                if b not in first and b in residual[a]:
+                    first[b] = a
+                    queue.append(b)
+        for x in order:
+            if x == root:
+                continue
+            succ, pred = self.succ[x], self.pred[x] = {}, {}
+            b = x
+            while b != root:
+                a = first[b]
+                succ[a] = {b}
+                pred[b] = {a}
+                b = a
+            for _ in range(1, paths):
+                push_unit(succ, pred, augmenting_path(residual, order, succ, pred, root, x))
+            self.value[x] = paths
+
+    def users(self, arc: tuple[str, str]) -> list[str]:
+        """The nodes whose witness uses ``arc``."""
+        u, v = arc
+        return [x for x, succ in self.succ.items() if v in succ.get(u, ())]
+
+    def repair(
+        self, x: str, arc: tuple[str, str], need: int, residual: Mapping[str, set[str]],
+        order: Mapping[str, Sequence[str]],
+    ) -> bool:
+        """Take ``arc`` = (u, v), already out of ``residual``, out of x's witness.
+
+        Returns True with the witness inside the residual and its value at
+        least ``need``, or False, changing nothing, when x has fewer than
+        ``need`` arc-disjoint paths from root without arc.
+
+        A witness that does not use arc needs nothing. One of value above
+        ``need`` drops a root->x walk through arc: flow conservation leads it
+        from v forward to x and from u back to root along the witness's own
+        arcs, so no search runs. One of value exactly ``need`` moves its unit
+        off arc onto a u->v path in its residual network, which the search
+        finds without arc or its reverse. If there is none, let S be the
+        nodes the search reached from u: every residual arc leaving S carries
+        witness flow, no witness arc enters S, and arc leaves it too. The
+        witness's net outflow from S is then positive, so S holds root and not
+        x, and that outflow is ``need``: the residual without arc has
+        ``need - 1`` arcs leaving S, and by max-flow/min-cut x has at most
+        ``need - 1`` paths. So the answer is exact: removing one unit arc
+        lowers a max flow by at most one, and the flow keeps its value exactly
+        when its unit on arc can be rerouted.
+        """
+        u, v = arc
+        succ, pred = self.succ[x], self.pred[x]
+        if v not in succ.get(u, ()):
+            return True
+        if self.value[x] == need:
+            path = augmenting_path(residual, order, succ, pred, u, v)
+            if path is None:
+                return False
+            succ[u].remove(v)
+            pred[v].remove(u)
+            push_unit(succ, pred, path)
+            return True
+        succ[u].remove(v)
+        pred[v].remove(u)
+        a = v
+        while a != x:
+            b = min(succ[a])
+            succ[a].remove(b)
+            pred[b].remove(a)
+            a = b
+        b = u
+        while b != self.root:
+            a = min(pred[b])
+            succ[a].remove(b)
+            pred[b].remove(a)
+            b = a
+        self.value[x] -= 1
+        return True
+
+
 def _arc_safe(
     residual: dict[str, set[str]],
     order: Mapping[str, Sequence[str]],
-    root: str,
     need: int,
     arc: tuple[str, str],
-    witness: dict[str, set[tuple[str, str]]],
+    witness: _Witnesses,
 ) -> bool:
     """True if every node keeps ``need`` arc-disjoint paths from root without arc.
 
-    Removes ``arc`` from ``residual`` and leaves it out only when the answer
-    is True. Only nodes with no witness, or whose witness uses ``arc``, run a
-    max flow; every new witness is kept, as it lies inside the residual
-    whether or not ``arc`` is committed. ``order`` is the topology's arc
-    adjacency; its sorted neighbours order each max flow's search.
+    Removes ``arc`` = (u, v) from ``residual`` and leaves it out only when
+    the answer is True, after repairing every witness that used arc; a
+    rejected arc is put back and leaves every witness as it was.
+
+    v's witness decides. If removing arc leaves some x below ``need``, a
+    min cut separating x from root has fewer than ``need`` arcs without arc
+    and at least ``need`` with it, so arc enters the cut's x side: v is on
+    that side and below ``need`` too. So once v's witness is repaired, every
+    other repair succeeds, and no repair runs for a rejected arc but v's.
     """
     u, v = arc
     residual[u].discard(v)
-    for x in order:
-        if x == root or (x in witness and arc not in witness[x]):
-            continue
-        value, flow = unit_max_flow(
-            residual, root, x, limit=need, return_flow=True, _sorted_adj=order
-        )
-        if value < need:
-            residual[u].add(v)
-            return False
-        witness[x] = flow
+    if not witness.repair(v, arc, need, residual, order):
+        residual[u].add(v)
+        return False
+    for x in witness.users(arc):
+        witness.repair(x, arc, need, residual, order)
     return True
 
 
 def _grow_out_tree(
-    residual: dict[str, set[str]], order: Mapping[str, Sequence[str]], root: str, need: int
+    residual: dict[str, set[str]],
+    order: Mapping[str, Sequence[str]],
+    root: str,
+    need: int,
+    witness: _Witnesses,
 ) -> dict[str, str]:
     """Grow one spanning out-tree from root, keeping ``need`` packings possible.
 
@@ -137,23 +253,22 @@ def _grow_out_tree(
 
     Candidates are residual arcs (u, v) out of spanned nodes, tried in the
     order (depth of u, u, v). A heap holds them: a node's residual out-arcs
-    are pushed once, when it is spanned, and a popped arc is dropped if v
-    is spanned or the arc is unsafe. A spanned node's out-arcs change only
-    by commits, so the heap pops what re-sorting the candidates would list.
+    to unspanned nodes are pushed once, when it is spanned, and a popped arc
+    is dropped if v is spanned or the arc is unsafe. A spanned node's
+    out-arcs change only by commits, so the heap pops what re-sorting the
+    candidates would list.
 
-    Witness invariant: ``witness[x]`` is the net-flow arc set of x's last
-    successful ``need``-path max flow, and between candidates every witness
-    lies inside the residual arcs (a witness that used a committed arc was
-    recomputed without it). Removing an arc can therefore lower x's
-    root-connectivity below ``need`` only if x has no witness yet or its
-    witness uses that arc, and only those nodes are re-checked.
+    ``witness`` is the decomposition's, carried from tree to tree. On entry
+    every witness lies inside the residual with value above ``need``, and
+    ``_arc_safe`` keeps each inside with value at least ``need``; so the
+    next tree, which needs one path fewer, starts with a unit to spare in
+    every witness and no flow to recompute.
 
     A dropped arc is never pushed again, and need not be: within one tree
     the residual only loses arcs (a rejected arc is put back, a committed
     one leaves for good) and max flows only fall as arcs go, so an arc that
     left some node below ``need`` would do so again in any later residual.
     """
-    witness: dict[str, set[tuple[str, str]]] = {}
     parent: dict[str, str] = {}
     frontier = [(0, root, v) for v in residual[root]]
     heapq.heapify(frontier)
@@ -165,12 +280,13 @@ def _grow_out_tree(
         depth, u, v = heapq.heappop(frontier)
         if v == root or v in parent:
             continue
-        if need and not _arc_safe(residual, order, root, need, (u, v), witness):
+        if need and not _arc_safe(residual, order, need, (u, v), witness):
             continue
         residual[u].discard(v)
         parent[v] = u
         for w in residual[v]:
-            heapq.heappush(frontier, (depth + 1, v, w))
+            if w != root and w not in parent:
+                heapq.heappush(frontier, (depth + 1, v, w))
     return parent
 
 
@@ -179,8 +295,11 @@ def decompose_arborescences(topology: Topology, root: str, k: int) -> list[Arbor
 
     Requires k <= edge_connectivity(topology). All k trees are cut from one
     residual adjacency, and tree i leaves k - i arc-disjoint paths to every
-    node in it. The result is validated (spanning, rooted, disjoint) before
-    being returned.
+    node in it. One witness flow per node proves those paths: it starts
+    with k units before the first tree and is then repaired as trees take
+    its arcs (see ``_Witnesses.repair``), so no max flow runs per candidate
+    arc. The result is validated (spanning, rooted, disjoint) before being
+    returned.
     """
     if not topology.has_node(root):
         raise ValueError(f"root {root!r} not in topology")
@@ -191,8 +310,11 @@ def decompose_arborescences(topology: Topology, root: str, k: int) -> list[Arbor
         raise ValueError(f"k={k} exceeds edge connectivity {lam}")
     order = topology.arc_adjacency()
     residual = {u: set(vs) for u, vs in order.items()}
+    witness = _Witnesses(residual, order, root, paths=k)
     arbs = [
-        Arborescence(root=root, parent=_grow_out_tree(residual, order, root, need=k - i))
+        Arborescence(
+            root=root, parent=_grow_out_tree(residual, order, root, k - i, witness)
+        )
         for i in range(1, k + 1)
     ]
     validate_disjoint(arbs, topology)

@@ -260,6 +260,55 @@ def shortest_routes(
     return route
 
 
+def augmenting_path(
+    adj: Mapping[str, Iterable[str]],
+    order: Mapping[str, Sequence[str]],
+    succ: Mapping[str, set[str]],
+    pred: Mapping[str, set[str]],
+    source: str,
+    sink: str,
+) -> list[str] | None:
+    """A shortest source->sink path in the residual network of a unit flow.
+
+    The flow is kept as net arcs of ``adj``: ``succ[a]`` and ``pred[a]`` hold
+    the heads and tails of its arcs out of and into a. The network has the
+    arcs of ``adj`` the flow leaves free and the reverse of every flow arc.
+    ``order`` lists, in sorted order, a superset of each node's out- and
+    in-neighbours in ``adj`` and fixes the search order; the search stops on
+    reaching sink, so it never leaves sink. Returns None if sink is cut off.
+    """
+    parent = {source: source}
+    frontier = [source]
+    while frontier:
+        nxt = []
+        for a in frontier:
+            out, used, back = adj.get(a, ()), succ.get(a, ()), pred.get(a, ())
+            for b in order[a]:
+                if b in parent:
+                    continue
+                if b in back or (b in out and b not in used):
+                    parent[b] = a
+                    if b == sink:
+                        path = [sink]
+                        while path[-1] != source:
+                            path.append(parent[path[-1]])
+                        return path[::-1]
+                    nxt.append(b)
+        frontier = nxt
+    return None
+
+
+def push_unit(succ: dict[str, set[str]], pred: dict[str, set[str]], path: Sequence[str]) -> None:
+    """Send one unit of flow along ``path``, cancelling opposite units."""
+    for a, b in zip(path, path[1:]):
+        if a in succ.get(b, ()):
+            succ[b].remove(a)
+            pred[a].remove(b)
+        else:
+            succ.setdefault(a, set()).add(b)
+            pred.setdefault(b, set()).add(a)
+
+
 def unit_max_flow(
     adj: Mapping[str, Iterable[str]],
     source: str,
@@ -277,45 +326,28 @@ def unit_max_flow(
 
     ``_sorted_adj`` (internal) lists, in sorted order, a superset of each
     node's out- and in-neighbours in ``adj``, such as the neighbours of the
-    topology ``adj`` was cut from. The search then walks that list instead
-    of sorting the candidates at every visit; the order, and so the
-    result, is the same.
+    topology ``adj`` was cut from. It saves sorting them here; the order,
+    and so the result, is the same.
     """
-    flow: set[tuple[str, str]] = set()
-    into: dict[str, set[str]] = {}  # into[w]: every v with (v, w) in flow
+    order = _sorted_adj
+    if order is None:
+        neighbours: dict[str, set[str]] = {source: set()}
+        for a, heads in adj.items():
+            for b in heads:
+                neighbours.setdefault(a, set()).add(b)
+                neighbours.setdefault(b, set()).add(a)
+        order = {a: sorted(bs) for a, bs in neighbours.items()}
+    succ: dict[str, set[str]] = {}
+    pred: dict[str, set[str]] = {}
     value = 0
     while limit is None or value < limit:
-        parent: dict[str, str | None] = {source: None}
-        frontier = [source]
-        while frontier and sink not in parent:
-            nxt = []
-            for u in frontier:
-                out = adj.get(u, ())
-                back = into.get(u, ())
-                for v in sorted({*out, *back}) if _sorted_adj is None else _sorted_adj[u]:
-                    if v in parent:
-                        continue
-                    if v in back or (v in out and (u, v) not in flow):
-                        parent[v] = u
-                        nxt.append(v)
-                if sink in parent:  # the rest of this level cannot change its path
-                    break
-            frontier = nxt
-        if sink not in parent:
+        path = augmenting_path(adj, order, succ, pred, source, sink)
+        if path is None:
             break
-        v = sink
-        while v != source:
-            u = parent[v]
-            if (v, u) in flow:
-                flow.discard((v, u))
-                into[u].discard(v)
-            else:
-                flow.add((u, v))
-                into.setdefault(v, set()).add(u)
-            v = u
+        push_unit(succ, pred, path)
         value += 1
     if return_flow:
-        return value, flow
+        return value, {(a, b) for a, heads in succ.items() for b in heads}
     return value
 
 

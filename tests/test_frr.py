@@ -1,11 +1,15 @@
 from __future__ import annotations
 
+import copy
 import hashlib
+import heapq
 import itertools
 import json
 import random
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import frrsim.frr as frr_module
 import frrsim.topology as topology_module
@@ -29,6 +33,7 @@ from frrsim.analysis import enumerate_link_failures
 from frrsim.forwarding import MODE_SUFFIX, ForwardingState, PortTable
 from frrsim.frr import DecompositionError, PartitionScheme, validate_disjoint
 from frrsim.scenarios import FIGURE1_PATHS
+from frrsim.topology import unit_max_flow
 
 
 def brute_force_three_arborescences_exist(topology: Topology, root: str) -> bool:
@@ -98,13 +103,23 @@ class TestDecomposition:
         with pytest.raises(Exception, match="reused"):
             validate_disjoint([a1, a2], triangle)
 
+    def test_validator_rejects_a_cycle(self, square):
+        # b and c point at each other, so a, b and c never reach d
+        arb = Arborescence(root="d", parent={"a": "b", "b": "c", "c": "b"})
+        with pytest.raises(DecompositionError, match="parent map contains a cycle"):
+            arb.validate(square)
 
-def grow_out_tree_by_resorting(residual, order, root, need):
+    def test_validator_rejects_a_map_that_does_not_span(self, square):
+        arb = Arborescence(root="d", parent={"a": "d", "c": "d"})
+        with pytest.raises(DecompositionError, match="does not span all nodes"):
+            arb.validate(square)
+
+
+def grow_out_tree_by_resorting(residual, order, root, need, witness):
     """``frr._grow_out_tree`` as it stood before the frontier heap, verbatim but
-    for the residual shared across a root's trees, from which it discards the
-    arcs it commits: the candidates are re-sorted after every commit and the
-    arcs found unsafe are kept in a set."""
-    witness = {}
+    for the residual and the witness flows shared across a root's trees, from
+    which it discards the arcs it commits: the candidates are re-sorted after
+    every commit and the arcs found unsafe are kept in a set."""
     unsafe = set()
     spanned = {root}
     depth = {root: 0}
@@ -116,7 +131,7 @@ def grow_out_tree_by_resorting(residual, order, root, need):
             key=lambda a: (depth[a[0]], a[0], a[1]),
         )
         for u, v in candidates:
-            if need == 0 or frr_module._arc_safe(residual, order, root, need, (u, v), witness):
+            if need == 0 or frr_module._arc_safe(residual, order, need, (u, v), witness):
                 residual[u].discard(v)
                 tree.add((u, v))
                 spanned.add(v)
@@ -130,9 +145,8 @@ def grow_out_tree_by_resorting(residual, order, root, need):
     return {v: u for (u, v) in tree}
 
 
-def grow_out_tree_retesting_unsafe_arcs(residual, order, root, need):
+def grow_out_tree_retesting_unsafe_arcs(residual, order, root, need, witness):
     """``grow_out_tree_by_resorting`` without its set of arcs already found unsafe."""
-    witness = {}
     spanned, depth, tree = {root}, {root: 0}, set()
     while len(spanned) < len(order):
         candidates = sorted(
@@ -140,13 +154,61 @@ def grow_out_tree_retesting_unsafe_arcs(residual, order, root, need):
             key=lambda a: (depth[a[0]], a[0], a[1]),
         )
         for u, v in candidates:
-            if need == 0 or frr_module._arc_safe(residual, order, root, need, (u, v), witness):
+            if need == 0 or frr_module._arc_safe(residual, order, need, (u, v), witness):
                 residual[u].discard(v)
                 tree.add((u, v))
                 spanned.add(v)
                 depth[v] = depth[u] + 1
                 break
     return {v: u for (u, v) in tree}
+
+
+def grow_out_tree_from_scratch(residual, order, root, need, witness):
+    """``frr._grow_out_tree`` with no witness flows: a candidate arc is safe when
+    a fresh ``unit_max_flow(limit=need)`` still finds ``need`` paths from root
+    to every node without it."""
+    parent = {}
+    frontier = [(0, root, v) for v in residual[root]]
+    heapq.heapify(frontier)
+    while len(parent) < len(order) - 1:
+        depth, u, v = heapq.heappop(frontier)
+        if v == root or v in parent:
+            continue
+        residual[u].discard(v)
+        if need and any(unit_max_flow(residual, root, x, limit=need) < need
+                        for x in order if x != root):
+            residual[u].add(v)
+            continue
+        parent[v] = u
+        for w in residual[v]:
+            heapq.heappush(frontier, (depth + 1, v, w))
+    return parent
+
+
+def decompose_every_root_and_k(t):
+    lam = edge_connectivity(t)
+    return [[a.parent for a in decompose_arborescences(t, root, k)]
+            for root in t.nodes for k in range(1, lam + 1)]
+
+
+def witness_arcs(witness, x):
+    return {(a, b) for a, heads in witness.succ[x].items() for b in heads}
+
+
+def assert_witnesses_hold(witness, residual, root, need):
+    """Every witness is a root->x flow of value >= need inside the residual,
+    kept as net arcs with ``succ`` and ``pred`` mirroring each other."""
+    for x, value in witness.value.items():
+        arcs = witness_arcs(witness, x)
+        assert arcs == {(a, b) for b, tails in witness.pred[x].items() for a in tails}, x
+        net = dict.fromkeys(residual, 0)
+        for a, b in arcs:
+            assert b in residual[a], (x, a, b)
+            assert (b, a) not in arcs, (x, a, b)
+            net[a] -= 1
+            net[b] += 1
+        assert net.pop(x) == -net.pop(root) == value >= need, x
+        assert set(net.values()) <= {0}, x
 
 
 # sha256 over the decomposition and disjoint-path outputs of
@@ -176,23 +238,30 @@ class TestDecompositionOutputsAndWork:
         assert h.hexdigest() == DECOMPOSITION_DIGEST
 
     def test_rechecks_only_what_a_candidate_arc_can_break(self, monkeypatch):
-        calls = {"frr": 0, "topology": 0}
+        calls = {"frr": 0, "topology": 0, "search": 0}
 
-        def counting(module, name):
-            inner = module.unit_max_flow
+        def counting(module, name, attr):
+            inner = getattr(module, attr)
 
             def wrapped(*args, **kwargs):
                 calls[name] += 1
                 return inner(*args, **kwargs)
 
-            monkeypatch.setattr(module, "unit_max_flow", wrapped)
+            monkeypatch.setattr(module, attr, wrapped)
 
-        counting(frr_module, "frr")
-        counting(topology_module, "topology")
+        counting(frr_module, "frr", "unit_max_flow")
+        counting(topology_module, "topology", "unit_max_flow")
+        counting(frr_module, "search", "augmenting_path")
         t = build_topology("torus(6,6)")
         decompose_arborescences(t, "0_0", 4)
-        # One max flow per node for every candidate arc made 2,782 calls.
-        assert calls["frr"] < 1000
+        # One max flow per node for every candidate arc made 2,782 calls, and
+        # one per witness the arc broke 500 to 1,000. Witnesses repaired from
+        # tree to tree run none, below the n - 1 = 35 of one per node.
+        assert calls["frr"] == 0
+        # Building the witnesses takes k - 1 = 3 augmenting paths per node,
+        # 105 in all; a repair searches only when an arc breaks a witness
+        # with no unit to spare, 285 times here.
+        assert calls["search"] <= 390
         assert calls["topology"] > 0
         calls.update(frr=0, topology=0)
         decompose_arborescences(t, "0_0", 4)
@@ -202,11 +271,13 @@ class TestDecompositionOutputsAndWork:
         "torus(4,4)",
         {"kind": "random", "n": 12, "p": 0.4, "seed": 5, "min_edge_connectivity": 2},
     ])
-    def test_skipping_unsafe_arcs_keeps_the_arcs_and_saves_max_flows(self, monkeypatch, spec):
+    def test_skipping_unsafe_arcs_keeps_the_arcs_and_saves_reroute_searches(
+        self, monkeypatch, spec
+    ):
         t = build_topology(spec)
         lam = edge_connectivity(t)
         calls = [0]
-        inner = frr_module.unit_max_flow
+        inner = frr_module.augmenting_path
 
         def counting(*args, **kwargs):
             calls[0] += 1
@@ -218,7 +289,7 @@ class TestDecompositionOutputsAndWork:
                        for root in t.nodes]
             return parents, calls[0]
 
-        monkeypatch.setattr(frr_module, "unit_max_flow", counting)
+        monkeypatch.setattr(frr_module, "augmenting_path", counting)
         parents, skipping = decompose_every_root()
         monkeypatch.setattr(frr_module, "_grow_out_tree", grow_out_tree_retesting_unsafe_arcs)
         reference, retesting = decompose_every_root()
@@ -232,9 +303,9 @@ class TestDecompositionOutputsAndWork:
         tested = []
         inner = frr_module._arc_safe
 
-        def recording(residual, order, root, need, arc, witness):
+        def recording(residual, order, need, arc, witness):
             tested.append((need, arc))
-            return inner(residual, order, root, need, arc, witness)
+            return inner(residual, order, need, arc, witness)
 
         def decompose_every_root():
             tested.clear()
@@ -247,10 +318,120 @@ class TestDecompositionOutputsAndWork:
         monkeypatch.setattr(frr_module, "_grow_out_tree", grow_out_tree_by_resorting)
         assert decompose_every_root() == heap
 
+    @pytest.mark.parametrize("spec", PINNED_SPECS)
+    def test_repaired_witnesses_choose_the_arcs_fresh_max_flows_choose(
+        self, monkeypatch, spec
+    ):
+        t = build_topology(spec)
+        repaired = decompose_every_root_and_k(t)
+        monkeypatch.setattr(frr_module, "_grow_out_tree", grow_out_tree_from_scratch)
+        assert decompose_every_root_and_k(t) == repaired
+
+    @pytest.mark.parametrize("spec", PINNED_SPECS[:3])
+    def test_a_rejected_arc_searches_only_its_head(self, monkeypatch, spec):
+        t = build_topology(spec)
+        searched, rejected = [], []
+        inner_search, inner_safe = frr_module.augmenting_path, frr_module._arc_safe
+
+        def recording(residual, order, succ, pred, s, d):
+            searched.append(succ)
+            return inner_search(residual, order, succ, pred, s, d)
+
+        def checking(residual, order, need, arc, witness):
+            searched.clear()
+            if inner_safe(residual, order, need, arc, witness):
+                return True
+            rejected.append(arc)
+            assert len(searched) == 1 and searched[0] is witness.succ[arc[1]]
+            return False
+
+        monkeypatch.setattr(frr_module, "augmenting_path", recording)
+        monkeypatch.setattr(frr_module, "_arc_safe", checking)
+        decompose_every_root_and_k(t)
+        assert rejected
+
     def test_a_stalled_tree_raises_and_names_the_root(self, monkeypatch):
         monkeypatch.setattr(frr_module, "_arc_safe", lambda *args: False)
         with pytest.raises(DecompositionError, match="at root '0_0'"):
             decompose_arborescences(build_topology("torus(3,3)"), "0_0", 2)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(n=st.integers(3, 9), p=st.sampled_from([0.3, 0.5, 0.8]), seed=st.integers(0, 10_000))
+def test_repaired_witnesses_match_fresh_max_flows_on_random_graphs(n, p, seed):
+    """Random 2-edge-connected graphs: every root and k choose the arcs that
+    from-scratch checking chooses, and after every tree each witness is still
+    a flow inside the residual with a unit to spare for the next tree."""
+    t = build_topology({"kind": "random", "n": n, "p": p, "seed": seed,
+                        "min_edge_connectivity": 2})
+    inner = frr_module._grow_out_tree
+
+    def checking(residual, order, root, need, witness):
+        parent = inner(residual, order, root, need, witness)
+        if need:  # the last tree has nothing left to keep
+            assert_witnesses_hold(witness, residual, root, need)
+        return parent
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(frr_module, "_grow_out_tree", checking)
+        repaired = decompose_every_root_and_k(t)
+        mp.setattr(frr_module, "_grow_out_tree", grow_out_tree_from_scratch)
+        assert decompose_every_root_and_k(t) == repaired
+
+
+def witness_setup(links, paths=2):
+    t = Topology(sorted({n for link in links for n in link}), links)
+    order = t.arc_adjacency()
+    residual = {u: set(vs) for u, vs in order.items()}
+    return order, residual, frr_module._Witnesses(residual, order, "r", paths)
+
+
+class TestWitnessRepair:
+    """The two repairs on r-a, r-b, a-x, b-x plus either a detour a-c, c-x or
+    only a-b, which leaves x no way in but from a or b. With two units the
+    witness of x is r->a->x plus r->b->x, and arc (a, x) breaks it."""
+
+    DETOUR = [("r", "a"), ("r", "b"), ("a", "x"), ("b", "x"), ("a", "c"), ("c", "x")]
+    NO_DETOUR = [("r", "a"), ("r", "b"), ("a", "x"), ("b", "x"), ("a", "b")]
+    X_WITNESS = {("r", "a"), ("a", "x"), ("r", "b"), ("b", "x")}
+
+    def test_an_exact_witness_moves_its_unit_onto_a_detour(self):
+        order, residual, witness = witness_setup(self.DETOUR)
+        assert witness_arcs(witness, "x") == self.X_WITNESS
+        assert frr_module._arc_safe(residual, order, 2, ("a", "x"), witness)
+        assert "x" not in residual["a"]
+        assert witness.value["x"] == 2
+        assert witness_arcs(witness, "x") == self.X_WITNESS - {("a", "x")} | {
+            ("a", "c"), ("c", "x")}
+        assert witness.users(("a", "x")) == []
+        assert_witnesses_hold(witness, residual, "r", 2)
+
+    def test_no_detour_makes_the_arc_unsafe_and_changes_nothing(self):
+        order, residual, witness = witness_setup(self.NO_DETOUR)
+        assert witness_arcs(witness, "x") == self.X_WITNESS
+
+        def state():
+            return copy.deepcopy((residual, witness.value, witness.succ, witness.pred))
+
+        before = state()
+        assert not frr_module._arc_safe(residual, order, 2, ("a", "x"), witness)
+        assert state() == before
+        residual["a"].discard("x")
+        assert unit_max_flow(residual, "r", "x") == 1
+
+    def test_a_spare_unit_drops_one_walk_and_runs_no_search(self, monkeypatch):
+        order, residual, witness = witness_setup(self.DETOUR)
+
+        def no_search(*args):
+            raise AssertionError("a witness with a unit to spare ran a search")
+
+        monkeypatch.setattr(frr_module, "augmenting_path", no_search)
+        assert frr_module._arc_safe(residual, order, 1, ("a", "x"), witness)
+        assert witness.value["x"] == 1
+        assert witness_arcs(witness, "x") == {("r", "b"), ("b", "x")}
+        assert witness.users(("a", "x")) == []
+        assert_witnesses_hold(witness, residual, "r", 1)
 
 
 class TestArborescenceCompile:
