@@ -435,26 +435,6 @@ def json_items(items: Sequence[str], depth: int, brackets: str = "[]") -> str:
     return f"{brackets[0]}{pad}  {body}{pad}{brackets[1]}"
 
 
-class JsonList:
-    """``json_items`` of a list's encoded items, ``depth`` deep, written into
-    ``file`` one non-empty chunk of items at a time; ``close`` ends it."""
-
-    def __init__(self, file: TextIO, depth: int):
-        # Encoded JSON never holds a raw NUL, so it splits off the brackets.
-        self._head, self._tail = json_items(["\0"], depth).split("\0")
-        self._separator = _encoder(depth).item_separator
-        self._file = file
-        self._written = False
-
-    def write(self, items: Sequence[str]) -> None:
-        self._file.write(self._separator if self._written else self._head)
-        self._file.write(self._separator.join(items))
-        self._written = True
-
-    def close(self) -> None:
-        self._file.write(self._tail if self._written else "[]")
-
-
 def json_fields(records: Sequence, depth: int) -> list[str]:
     """The fields of each flat record (keys sorted) or the items of each flat
     list, printed ``depth + 1`` deep and joined by that depth's separator."""
@@ -480,43 +460,36 @@ def in_chunks(items: Iterable[_T]) -> Iterator[list[_T]]:
         yield chunk
 
 
-def _written(write: Callable[[TextIO], None], file: TextIO | None) -> str | None:
-    """Run ``write`` into ``file``, or into a buffer whose text is returned."""
-    if file is not None:
-        return write(file)
-    buf = io.StringIO()
-    write(buf)
-    return buf.getvalue()
-
-
 class Spliced:
     """The text of each ``(case, label)`` pair of ``iter_labelled_cases()``:
     the case's text in two halves around its ``failure`` value, from
     ``render``, with the label's text from ``encode`` between them.
 
-    Each distinct case object of a flow is rendered once, and each label
-    encoded once, however many pairs hold them. Called one chunk of pairs
-    at a time, in order; only the halves of the last flow seen are kept
-    between chunks, since a case serves one flow.
+    The cases of a flow are rendered once per distinct ``key`` (by default
+    the case object itself, by ``id``), so cases with one key must render
+    alike; each label is encoded once, however many pairs hold it. Called
+    one chunk of pairs at a time, in order; only the halves of the last
+    flow seen are kept between chunks, since a case serves one flow.
     """
 
     def __init__(self, render: Callable[[list[CaseResult]], Iterable[Sequence[str]]],
-                 encode: Callable[[str], str]):
-        self._render, self._encode = render, encode
+                 encode: Callable[[str], str], key: Callable[[CaseResult], object] = id):
+        self._render, self._encode, self._key = render, encode, key
         self._labels: dict[str, str] = {}
-        # id(case) -> (case, head, tail); holding the case keeps its id its own
-        self._halves: dict[int, tuple[CaseResult, str, str]] = {}
+        # key -> (case, head, tail); holding the case keeps the ids in its key its own
+        self._halves: dict[object, tuple[CaseResult, str, str]] = {}
 
     def __call__(self, pairs: Sequence[tuple[CaseResult, str]]) -> list[str]:
         """The texts of a non-empty chunk of pairs."""
         labels, halves, texts = self._labels, self._halves, []
-        new = list({id(case): case for case, _ in pairs if id(case) not in halves}.values())
-        for case, (head, tail) in zip(new, self._render(new)):
-            halves[id(case)] = case, head, tail
-        for case, label in pairs:
+        keys = [self._key(case) for case, _ in pairs]
+        new = {key: case for key, (case, _) in zip(keys, pairs) if key not in halves}
+        for (key, case), (head, tail) in zip(new.items(), self._render(list(new.values()))):
+            halves[key] = case, head, tail
+        for key, (_, label) in zip(keys, pairs):
             if (text := labels.get(label)) is None:
                 text = labels[label] = self._encode(label)
-            _, head, tail = halves[id(case)]
+            _, head, tail = halves[key]
             texts.append(head + text + tail)
         last = pairs[-1][0].flow_id
         if any(case.flow_id != last for case, _, _ in halves.values()):
@@ -528,6 +501,40 @@ class Spliced:
 def json_string(text: str) -> str:
     """``text`` as a JSON string, as every run artefact prints it."""
     return _encoder(0).encode(text)
+
+
+def _trace_json(trace: Trace) -> str:
+    """One trace as traces.json prints it, three levels deep."""
+    doc = trace.to_json_dict()
+    hops = [json_items([h], 5) for h in json_fields(doc.pop("hops"), 5)]
+    # "hops" sorts between the scalar fields, so it goes between two halves
+    head, tail = json_fields([{k: v for k, v in doc.items() if k < "hops"},
+                              {k: v for k, v in doc.items() if k > "hops"}], 3)
+    return json_items([head, f'"hops": {json_items(hops, 4)}', tail], 3, "{}")
+
+
+def _trace_docs(cases: list[CaseResult]) -> Iterator[list[str]]:
+    """traces.json's doc of each case: its flow, rounds, verdict and fixpoint's traces."""
+    heads = json_fields([{"flow": c.flow_id, "rounds": c.rounds} for c in cases], 1)
+    verdicts = json_fields([{"verdict": c.verdict} for c in cases], 1)
+    for case, head, verdict in zip(cases, heads, verdicts):
+        fp = case.fixpoint
+        fragment = "[]" if fp is None else json_items([_trace_json(t) for t in fp.traces], 2)
+        # "failure" sorts first; encoded JSON never holds a raw NUL
+        yield json_items(['"failure": \0', head, f'"traces": {fragment}', verdict],
+                         1, "{}").split("\0")
+
+
+_AUDIT = json.JSONEncoder(sort_keys=True)
+
+
+def _audit_lines(pairs: list[tuple[CaseResult, str]]) -> list[str]:
+    """audit.jsonl's line of each rule change of each pair's fixpoint."""
+    return [_AUDIT.encode({"flow": case.flow_id, "failure": label,
+                           "round": round_no, **change.to_json_dict()}) + "\n"
+            for case, label in pairs if case.fixpoint
+            for round_no, changes in enumerate(case.fixpoint.changes_per_round, start=1)
+            for change in changes]
 
 
 CSV_HEADER = ",".join(ROW_FIELDS) + "\n"
@@ -546,72 +553,94 @@ def _csv_lines(rows: Iterable[Iterable]) -> list[str]:
     return lines
 
 
-def csv_rows() -> Spliced:
-    """report.csv's row of each pair. The csv module quotes each field on
+def _csv_rows(cases: list[CaseResult]) -> Iterator[tuple[str, str]]:
+    """report.csv's row of each case. The csv module quotes each field on
     its own, so a row splits cleanly around the ``failure`` field."""
-    def render(cases: list[CaseResult]) -> Iterator[tuple[str, str]]:
-        rows = [case.to_row().values() for case in cases]
-        lines = _csv_lines(part for flow, _, *rest in rows for part in ([flow, ""], ["", *rest]))
-        return zip([head[:-1] for head in lines[::2]], lines[1::2])
-
-    return Spliced(render, lambda label: _csv_lines([[label, ""]])[0][:-2])
+    rows = [case.to_row().values() for case in cases]
+    lines = _csv_lines(part for flow, _, *rest in rows for part in ([flow, ""], ["", *rest]))
+    return zip([head[:-1] for head in lines[::2]], lines[1::2])
 
 
-def report_csv(report: SweepReport, file: TextIO | None = None) -> str | None:
-    """CSV rows: flow, failure, verdict, hops and stretch before/after, rounds.
-
-    Written into ``file`` if given (returning None), else returned as text.
-    """
-    def write(out: TextIO) -> None:
-        out.write(CSV_HEADER)
-        rows = csv_rows()
-        for chunk in in_chunks(report.iter_labelled_cases()):
-            out.write("".join(rows(chunk)))
-
-    return _written(write, file)
-
-
-def case_records() -> Spliced:
-    """report.json's record of each pair: its row, error and violations."""
-    def render(cases: list[CaseResult]) -> Iterator[list[str]]:
-        errors = json_fields([{"error": case.error} for case in cases], 2)
-        rows = json_fields([{k: v for k, v in case.to_row().items() if k != "failure"}
-                            for case in cases], 2)
-        violations = json_fields([case.violations for case in cases], 3)
-        for error, row, v in zip(errors, rows, violations):
-            # "failure" sorts between "error" and the other fields of the row,
-            # "violations" after them all; encoded JSON never holds a raw NUL
-            yield json_items([error, '"failure": \0', row, f'"violations": {json_items([v], 3)}'],
-                             2, "{}").split("\0")
-
-    return Spliced(render, json_string)
+def _case_records(cases: list[CaseResult]) -> Iterator[list[str]]:
+    """report.json's record of each case: its row, error and violations."""
+    errors = json_fields([{"error": case.error} for case in cases], 2)
+    rows = json_fields([{k: v for k, v in case.to_row().items() if k != "failure"}
+                        for case in cases], 2)
+    violations = json_fields([case.violations for case in cases], 3)
+    for error, row, v in zip(errors, rows, violations):
+        # "failure" sorts between "error" and the other fields of the row,
+        # "violations" after them all; encoded JSON never holds a raw NUL
+        yield json_items([error, '"failure": \0', row, f'"violations": {json_items([v], 3)}'],
+                         2, "{}").split("\0")
 
 
-def report_json_frame(report: SweepReport) -> tuple[str, str]:
-    """report.json's text before and after the list of ``case_records``."""
+def _json_list(texts: Spliced, depth: int, before: str = "", after: str = "") -> tuple:
+    """The parts of the list of ``texts``, ``depth`` deep, between ``before`` and ``after``."""
+    head, tail = json_items(["\0"], depth).split("\0")
+    return f"{before}[]{after}", before + head, texts, _encoder(depth).item_separator, tail + after
+
+
+def _report_json(report: SweepReport) -> tuple:
+    """report.json: the records in ``{"cases": [...], "summary": summary_dict()}``."""
     summary = report.summary_dict()
     by_kind = json_items(json_fields([summary.pop("violations_by_kind")], 2), 2, "{}")
     summary = json_items([*json_fields([summary], 1), f'"violations_by_kind": {by_kind}'], 1, "{}")
     head, tail = json_items(['"cases": \0', f'"summary": {summary}'], 0, "{}").split("\0")
-    return head, tail + "\n"
+    return _json_list(Spliced(_case_records, json_string), 1, head, tail + "\n")
 
 
-def report_json(report: SweepReport, file: TextIO | None = None) -> str | None:
-    """``{"cases": [row + error + violations, ...], "summary": summary_dict()}``.
+# The parts of each run artefact, made anew for each write: its text when
+# there are no cases, its head, the texts of one chunk of (case, label)
+# pairs, the separator between texts (so also before each later chunk), and
+# its tail. A traces.json doc reads only its case's fixpoint, flow, rounds
+# and verdict, so a held copy of a template is not rendered again.
+_ARTEFACTS: dict[str, Callable[[SweepReport], tuple]] = {
+    "traces.json": lambda report: _json_list(Spliced(
+        _trace_docs, json_string, lambda c: (id(c.fixpoint), c.flow_id, c.rounds, c.verdict)),
+        0, after="\n"),
+    "audit.jsonl": lambda report: ("", "", _audit_lines, "", ""),
+    "report.csv": lambda report: (CSV_HEADER, CSV_HEADER, Spliced(
+        _csv_rows, lambda label: _csv_lines([[label, ""]])[0][:-2]), "", ""),
+    "report.json": _report_json,
+}
 
-    Written into ``file`` if given (returning None), else returned as text.
-    """
-    head, tail = report_json_frame(report)
+RUN_ARTEFACTS = ("traces.json", "audit.jsonl", "report.csv", "report.json")
+"""The files of ``frrsim run`` in the order ``write_run`` writes them, with
+report.json, the file that marks a complete set, last."""
 
-    def write(out: TextIO) -> None:
-        out.write(head)
-        records, text = JsonList(out, 1), case_records()
-        for chunk in in_chunks(report.iter_labelled_cases()):
-            records.write(text(chunk))
-        records.close()
-        out.write(tail)
 
-    return _written(write, file)
+def write_run(report: SweepReport, files: Mapping[str, TextIO]) -> None:
+    """Write each of ``RUN_ARTEFACTS`` that ``files`` maps to an open text
+    file, all from one pass over ``report.iter_labelled_cases()``,
+    ``WRITE_CHUNK`` pairs at a time, so no list of every case is held. A
+    reused case comes as its flow's template, so each distinct case's text
+    is rendered once per flow and its label spliced in (``Spliced``)."""
+    artefacts = [(files[name], *_ARTEFACTS[name](report)) for name in RUN_ARTEFACTS
+                 if name in files]
+    written = False
+    for chunk in in_chunks(report.iter_labelled_cases()):
+        for file, _, head, texts, separator, _ in artefacts:
+            file.write(separator if written else head)
+            file.write(separator.join(texts(chunk)))
+        written = True
+    for file, empty, _, _, _, tail in artefacts:
+        file.write(tail if written else empty)
+
+
+def _text(report: SweepReport, name: str) -> str:
+    buf = io.StringIO()
+    write_run(report, {name: buf})
+    return buf.getvalue()
+
+
+def report_csv(report: SweepReport) -> str:
+    """CSV rows: flow, failure, verdict, hops and stretch before/after, rounds."""
+    return _text(report, "report.csv")
+
+
+def report_json(report: SweepReport) -> str:
+    """``{"cases": [row + error + violations, ...], "summary": summary_dict()}``."""
+    return _text(report, "report.json")
 
 
 # ---------------------------------------------------------------------------

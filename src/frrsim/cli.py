@@ -22,12 +22,11 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Iterator
 
 import click
 
 from . import analysis, frr
-from .forwarding import ForwardingState, Trace
+from .forwarding import ForwardingState
 from .forwarding import route as route_packet
 from .shortcut import shortcut_fixpoint
 from .topology import (FailureSet, Flow, Topology, build_topology, edge_connectivity,
@@ -332,19 +331,6 @@ def _load_and_sweep(config_path: str, fail: str | None, scheme: str | None,
         return _make_output_dir(outdir), report
 
 
-_AUDIT = json.JSONEncoder(sort_keys=True)
-
-
-def _trace_json(trace: Trace) -> str:
-    """One trace as traces.json prints it, three levels deep."""
-    doc = trace.to_json_dict()
-    hops = [analysis.json_items([h], 5) for h in analysis.json_fields(doc.pop("hops"), 5)]
-    # "hops" sorts between the scalar fields, so it goes between two halves
-    head, tail = analysis.json_fields([{k: v for k, v in doc.items() if k < "hops"},
-                                       {k: v for k, v in doc.items() if k > "hops"}], 3)
-    return analysis.json_items([head, f'"hops": {analysis.json_items(hops, 4)}', tail], 3, "{}")
-
-
 @contextlib.contextmanager
 def _artefacts(outdir: Path, *names: str):
     """Open text files that become ``outdir/name`` only once the block completes.
@@ -375,54 +361,9 @@ def _artefacts(outdir: Path, *names: str):
 
 
 def _write_run_outputs(outdir: Path, report: analysis.SweepReport) -> None:
-    """Write traces.json, audit.jsonl, report.csv and report.json.
-
-    The four files are written together from one pass over
-    ``report.iter_labelled_cases()``, ``WRITE_CHUNK`` (case, label) pairs at
-    a time, so no list of every case is held. That pass yields a reused
-    case as its flow's template under the case's own label, so each
-    distinct case object's traces.json doc (with its fixpoint's traces),
-    report.csv row and report.json record is rendered once per flow, in two
-    halves around its ``failure`` value, and each pair is written as the
-    halves with its encoded label spliced in (``analysis.Spliced``).
-    """
-    def trace_docs(cases: list[analysis.CaseResult]) -> Iterator[list[str]]:
-        heads = analysis.json_fields([{"flow": c.flow_id, "rounds": c.rounds} for c in cases], 1)
-        verdicts = analysis.json_fields([{"verdict": c.verdict} for c in cases], 1)
-        for case, head, verdict in zip(cases, heads, verdicts):
-            fp = case.fixpoint
-            fragment = "[]" if fp is None else analysis.json_items(
-                [_trace_json(t) for t in fp.traces], 2)
-            # "failure" sorts first; encoded JSON never holds a raw NUL
-            yield analysis.json_items(['"failure": \0', head, f'"traces": {fragment}', verdict],
-                                      1, "{}").split("\0")
-
-    def audit_lines(chunk: list[tuple[analysis.CaseResult, str]]) -> str:
-        return "".join([
-            _AUDIT.encode({"flow": case.flow_id, "failure": label,
-                           "round": round_no, **change.to_json_dict()}) + "\n"
-            for case, label in chunk if case.fixpoint
-            for round_no, changes in enumerate(case.fixpoint.changes_per_round, start=1)
-            for change in changes
-        ])
-
-    json_head, json_tail = analysis.report_json_frame(report)
-    doc_text = analysis.Spliced(trace_docs, analysis.json_string)
-    row_text, record_text = analysis.csv_rows(), analysis.case_records()
-    names = ("traces.json", "audit.jsonl", "report.csv", "report.json")  # report.json last
-    with _artefacts(outdir, *names) as (traces_file, audit_file, csv_file, json_file):
-        docs, records = analysis.JsonList(traces_file, 0), analysis.JsonList(json_file, 1)
-        csv_file.write(analysis.CSV_HEADER)
-        json_file.write(json_head)
-        for chunk in analysis.in_chunks(report.iter_labelled_cases()):
-            docs.write(doc_text(chunk))
-            audit_file.write(audit_lines(chunk))
-            csv_file.write("".join(row_text(chunk)))
-            records.write(record_text(chunk))
-        docs.close()
-        traces_file.write("\n")
-        records.close()
-        json_file.write(json_tail)
+    """Write ``analysis.RUN_ARTEFACTS`` into ``outdir`` (``analysis.write_run``)."""
+    with _artefacts(outdir, *analysis.RUN_ARTEFACTS) as files:
+        analysis.write_run(report, dict(zip(analysis.RUN_ARTEFACTS, files)))
 
 
 @click.group()

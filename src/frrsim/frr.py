@@ -441,9 +441,7 @@ def compute_disjoint_paths(topology: Topology, flow: Flow, k: int) -> PartitionS
             path.append(nxt)
         paths.append(tuple(path))
     paths.sort(key=lambda p: (len(p), p))
-    scheme = PartitionScheme(flow=flow, paths=tuple(paths[:k]))
-    scheme.validate(topology)
-    return scheme
+    return PartitionScheme(flow=flow, paths=tuple(paths[:k]))
 
 
 def compile_partition_frr(

@@ -194,7 +194,7 @@ class TestRunCommand:
         # Small chunks, so traces.json is part written when the 20th trace fails.
         monkeypatch.setattr(cli.analysis, "WRITE_CHUNK", 3)
         encoded = []
-        trace_json = cli._trace_json
+        trace_json = analysis._trace_json
 
         def failing(trace):
             encoded.append(trace)
@@ -202,7 +202,7 @@ class TestRunCommand:
                 raise error
             return trace_json(trace)
 
-        monkeypatch.setattr(cli, "_trace_json", failing)
+        monkeypatch.setattr(analysis, "_trace_json", failing)
         outdir = tmp_path / "out"
         config = write_config(tmp_path, "greedy.json", GENERATED["greedy_hypercube3"])
         result = runner.invoke(main, ["run", config, "--output-dir", str(outdir)])

@@ -234,6 +234,7 @@ class TestDecompositionOutputsAndWork:
                     h.update(json.dumps([root, k, parents]).encode())
             for s, d in itertools.permutations(t.nodes, 2):
                 scheme = compute_disjoint_paths(t, Flow(s, d), lam)
+                scheme.validate(t)
                 h.update(json.dumps([s, d, scheme.paths]).encode())
         assert h.hexdigest() == DECOMPOSITION_DIGEST
 

@@ -2,9 +2,10 @@
 
 ``reference_write`` is that writer, kept verbatim as the oracle: every
 ``traces.json``, ``audit.jsonl``, ``report.csv`` and ``report.json`` the CLI
-writes must equal its bytes, for generated reports, with or without the C
-accelerator of the ``json`` module, and for any ``WRITE_CHUNK``. The
-streamed writers hold one chunk, not a document.
+writes must equal its bytes, and ``analysis.report_csv`` and ``report_json``
+its text, for generated reports, with or without the C accelerator of the
+``json`` module, and for any ``WRITE_CHUNK``. The streamed writers hold one
+chunk, not a document.
 """
 
 from __future__ import annotations
@@ -113,6 +114,8 @@ def assert_same_artefacts(report: SweepReport) -> None:
         cli._write_run_outputs(new, report)
         for name in RUN_FILES:
             assert (new / name).read_bytes() == (ref / name).read_bytes(), name
+    assert analysis.report_csv(report) == reference_report_csv(report)
+    assert analysis.report_json(report) == reference_report_json(report)
 
 
 # ---------------------------------------------------------------------------
@@ -239,14 +242,19 @@ def greedy_hypercube3(tmp_path_factory) -> SweepReport:
     return sweep(tmp_path_factory.mktemp("greedy"), GENERATED["greedy_hypercube3"])[1]
 
 
-def test_each_distinct_fixpoint_is_serialised_once(greedy_hypercube3, tmp_path, monkeypatch):
-    """One ``to_json_dict`` per trace of each distinct ``FixpointResult``
-    (184), not one per trace of each case (704)."""
-    report = greedy_hypercube3
+@pytest.mark.parametrize("name,per_distinct,per_case", [
+    ("greedy_hypercube3", 184, 704),
+    ("node_sweep_with_differing_stretches", 192, 378),
+])
+def test_each_distinct_fixpoint_is_serialised_once(name, per_distinct, per_case, request,
+                                                   tmp_path, monkeypatch):
+    """One ``to_json_dict`` per trace of each distinct ``FixpointResult``,
+    not one per trace of each case, nor once more for each held copy of a
+    template with a stretch of its own (206 on the node sweep)."""
+    report = SWEPT_REPORTS[name](request)
     distinct = {id(c.fixpoint): c.fixpoint for c in report.cases if c.fixpoint}
-    per_distinct = sum(len(fp.traces) for fp in distinct.values())
-    per_case = sum(len(c.fixpoint.traces) for c in report.cases if c.fixpoint)
-    assert per_case > 3 * per_distinct
+    assert sum(len(fp.traces) for fp in distinct.values()) == per_distinct
+    assert sum(len(c.fixpoint.traces) for c in report.cases if c.fixpoint) == per_case
 
     calls = []
     to_json_dict = Trace.to_json_dict
