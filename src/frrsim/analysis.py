@@ -88,7 +88,8 @@ ROW_FIELDS = ("flow", "failure", "verdict", "hops_before", "hops_after",
 
 @dataclass
 class CaseResult:
-    """Outcome of one (flow, failure) fixpoint run."""
+    """Outcome of one (flow, failure) fixpoint run. ``violations`` is the
+    only record of a failed guarantee, one kind per guarantee broken."""
 
     flow_id: str
     failure: str
@@ -99,11 +100,6 @@ class CaseResult:
     stretch_after: float | None = None
     rounds: int = 0
     looped_before: bool = False
-    simple_after: bool | None = None
-    subpath_of_initial: bool | None = None
-    loads_monotone: bool | None = None
-    loads_strictly_reduced: bool | None = None
-    rounds_as_expected: bool | None = None
     violations: list[str] = field(default_factory=list)
     error: str | None = None
     fixpoint: FixpointResult | None = field(default=None, repr=False, compare=False)
@@ -173,7 +169,9 @@ class SweepReport:
     report holds, and the indices of the cases that reuse the flow's
     template. ``SweepReport(cases, violations_by_kind)`` holds each case it
     is given, one record per run of consecutive cases with one ``flow_id``;
-    ``run_failure_sweep`` fills a report as it runs.
+    ``run_failure_sweep`` fills a report as it runs. ``violations_by_kind``
+    is taken as given; ``total_cases`` and ``frr_failures`` are counted from
+    the records on each read.
 
     ``cases`` (in the order given, or sweep order), ``iter_sorted_cases()``
     and ``sorted_cases`` build new copies on every read, each with its own
@@ -185,7 +183,6 @@ class SweepReport:
 
     def __init__(self, cases: Iterable[CaseResult], violations_by_kind: dict[str, int]):
         self.violations_by_kind = violations_by_kind
-        self.total_cases = self.frr_failures = 0
         self._flows: list[_FlowCases] = []
         # the label of each index, read for reused cases only
         self._labels: Sequence[str] = ()
@@ -193,8 +190,15 @@ class SweepReport:
             if not self._flows or self._flows[-1].flow_id != case.flow_id:
                 self._flows.append(_FlowCases(case.flow_id))
             self._flows[-1].hold(index, case)
-            self.total_cases += 1
-            self.frr_failures += case.verdict == "frr_failed"
+
+    @property
+    def total_cases(self) -> int:
+        return sum(len(flow.held) + len(flow.reused) for flow in self._flows)
+
+    @property
+    def frr_failures(self) -> int:
+        """Held cases with verdict ``frr_failed``: a reused case was delivered."""
+        return sum(case.verdict == "frr_failed" for flow in self._flows for case in flow.held)
 
     @property
     def total_violations(self) -> int:
@@ -257,24 +261,17 @@ def _check_case(case: CaseResult, fp: FixpointResult) -> None:
         case.violations.append("not_delivered")
         return
     case.verdict = "delivered"
-    case.simple_after = final.is_simple()
-    if not case.simple_after:
+    if not final.is_simple():
         case.violations.append("not_simple")
     loads0 = link_loads([initial])
     loads1 = link_loads([final])
-    case.subpath_of_initial = loads1.keys() <= loads0.keys()
-    if not case.subpath_of_initial:
+    if not loads1.keys() <= loads0.keys():
         case.violations.append("not_subpath")
-
-    case.loads_monotone = all(loads1.get(e, 0) <= n for e, n in loads0.items())
-    case.loads_strictly_reduced = any(loads1.get(e, 0) < n for e, n in loads0.items())
-    if not case.loads_monotone:
+    if any(loads1.get(e, 0) > n for e, n in loads0.items()):
         case.violations.append("load_increase")
-    if case.looped_before and not case.loads_strictly_reduced:
+    if case.looped_before and all(loads1.get(e, 0) >= n for e, n in loads0.items()):
         case.violations.append("load_not_reduced")
-
-    case.rounds_as_expected = fp.rounds == (1 if case.looped_before else 0)
-    if not case.rounds_as_expected:
+    if fp.rounds != (1 if case.looped_before else 0):
         case.violations.append("rounds_mismatch")
 
 
@@ -325,13 +322,12 @@ def run_failure_sweep(
     cases that ran their own fixpoint, and the indices of the failure sets
     whose case is the template under its own label. A reused case whose
     stretch differs from the template's is held instead, as a copy of the
-    template with its own label and stretch. The cases, the frr failures and
-    the violations are counted as the sweep runs. Every case reused or
+    template with its own label and stretch. Only the violations are
+    counted as the sweep runs, by kind. Every case reused or
     copied from the template shares its ``FixpointResult`` object, so a
     ``CaseResult.fixpoint`` must be treated as read-only.
     """
     report = SweepReport([], {})
-    total = frr_failures = 0
     violations = report.violations_by_kind
     labels = report._labels = [failures.label() for failures in failure_sets]
     # keyed by index into failure_sets, None for nothing failed
@@ -387,7 +383,6 @@ def run_failure_sweep(
                 flow.destination in failures.failed_nodes
             ):
                 continue
-            total += 1
             if reusable and failures.failed_nodes.isdisjoint(nodes) and (
                 failures.failed_links.isdisjoint(links)
             ):
@@ -403,11 +398,9 @@ def run_failure_sweep(
                 continue
             case = CaseResult(flow_id=flow.flow_id, failure=labels[index], verdict="")
             state = run_case(case, flow, failures, index, state, base)
-            frr_failures += case.verdict == "frr_failed"
             for kind in case.violations:
                 violations[kind] = violations.get(kind, 0) + 1
             record.hold(index, case)
-    report.total_cases, report.frr_failures = total, frr_failures
     return report
 
 

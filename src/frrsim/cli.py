@@ -157,9 +157,11 @@ def _flows(raw, name: str, topology: Topology, routed: bool = False) -> tuple:
     flows = {}
     for i, entry in enumerate(raw):
         entry = _object(entry, f"{name}[{i}]", {"flow_id", *required}, required)
+        flow_id = entry.get("flow_id", "")
+        if "flow_id" in entry and not (isinstance(flow_id, str) and flow_id):
+            raise ConfigError(f"{name}[{i}].flow_id must be a non-empty string, got {flow_id!r}")
         with _named(f"{name}[{i}]: "):
-            flow = Flow(str(entry["source"]), str(entry["destination"]),
-                        str(entry.get("flow_id") or ""))
+            flow = Flow(str(entry["source"]), str(entry["destination"]), flow_id)
             flow.validate(topology)
         if flow.flow_id in flows:
             raise ConfigError(f"{name}[{i}] repeats flow id {flow.flow_id!r}")

@@ -94,12 +94,24 @@ class Topology:
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "Topology":
-        try:
-            nodes = [str(n) for n in data["nodes"]]
-            links = [(str(a), str(b)) for a, b in data["links"]]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValueError(f"malformed topology document: {exc}") from exc
-        return cls(nodes, links)
+        """The topology of ``{"nodes": [n, ...], "links": [[a, b], ...]}``, a
+        document with no other fields; a numeric node name becomes its ``str()``."""
+        def names(value, name: str, pair: bool = False) -> list[str]:
+            if not (isinstance(value, (list, tuple)) and (not pair or len(value) == 2) and all(
+                    isinstance(v, (str, int, float)) and not isinstance(v, bool) for v in value)):
+                raise ValueError(f"malformed topology document: {name} must be "
+                                 f"{'a pair' if pair else 'a list'} of node names, got {value!r}")
+            return [str(v) for v in value]
+
+        if not isinstance(data, Mapping) or set(data) != {"nodes", "links"}:
+            got = sorted(map(str, data)) if isinstance(data, Mapping) else type(data).__name__
+            raise ValueError("malformed topology document: needs the fields nodes and links "
+                             f"and no others, got {got}")
+        links = data["links"]
+        if not isinstance(links, (list, tuple)):
+            raise ValueError(f"malformed topology document: links must be a list, got {links!r}")
+        return cls(names(data["nodes"], "nodes"),
+                   [tuple(names(link, f"links[{i}]", pair=True)) for i, link in enumerate(links)])
 
     @classmethod
     def from_file(cls, path: str) -> "Topology":

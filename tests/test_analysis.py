@@ -44,9 +44,10 @@ from frrsim.analysis import (
     report_csv,
     unit_capacities,
 )
-from frrsim.forwarding import MODE_SUFFIX
+from frrsim.forwarding import MODE_SUFFIX, Hop, Trace
 from frrsim.frr import PartitionScheme
 from frrsim.scenarios import FIGURE1_PATHS
+from frrsim.shortcut import FixpointResult
 from frrsim.topology import shortest_path_length
 
 from test_frr import reference_compile_partition_frr
@@ -91,7 +92,7 @@ class TestSweep:
         assert case.verdict == "delivered"
         assert (case.hops_before, case.hops_after) == (6, 4)
         assert case.rounds == 1
-        assert case.simple_after and case.subpath_of_initial
+        assert case.violations == []
         assert case.looped_before
 
     def test_frr_failure_is_excluded_not_a_violation(self):
@@ -121,6 +122,52 @@ class TestSweep:
         lines = report_csv(report).splitlines()
         assert lines[0] == "flow,failure,verdict,hops_before,hops_after,stretch_before,stretch_after,rounds"
         assert lines[1] == "S->D,link:S2-S4,delivered,6,4,1.5,1,1"
+
+
+def figure1_walk(*nodes: str, outcome: Outcome = Outcome.DELIVERED) -> Trace:
+    """A hand-built S->D trace along ``nodes``, each hop entered from the last."""
+    hops = tuple(Hop(u, inport, v)
+                 for inport, u, v in zip((None,) + nodes, nodes, nodes[1:]))
+    return Trace("S->D", hops, outcome, nodes[-1])
+
+
+# figure1 walks from S to D: with S2-S4 down the failover walk bounces back at S2
+# and shortcuts to S-S1-S3-S4-D; TWICE bounces back twice
+BOUNCE = ("S", "S1", "S2", "S1", "S3", "S4", "D")
+SHORTCUT = ("S", "S1", "S3", "S4", "D")
+DEFAULT = ("S", "S1", "S2", "S4", "D")
+TWICE = ("S", "S1", "S2", "S1", "S2", "S1", "S3", "S4", "D")
+
+
+class TestCheckCase:
+    """``_check_case`` on hand-built fixpoints: each failed guarantee is
+    one violation kind, appended in a fixed order."""
+
+    @pytest.mark.parametrize("initial,final,rounds,verdict,violations", [
+        (BOUNCE, figure1_walk("S", "S1", "S2", outcome=Outcome.DROPPED), 1,
+         "shortcut_failed", ["not_delivered"]),
+        # loops once where the initial walk looped twice: lighter, but not simple
+        (TWICE, figure1_walk(*BOUNCE), 1, "delivered", ["not_simple"]),
+        (DEFAULT, figure1_walk(*SHORTCUT), 0, "delivered", ["not_subpath"]),
+        (BOUNCE, figure1_walk(*TWICE), 1, "delivered",
+         ["not_simple", "load_increase", "load_not_reduced"]),
+        (BOUNCE, figure1_walk(*BOUNCE), 1, "delivered", ["not_simple", "load_not_reduced"]),
+        (DEFAULT, figure1_walk(*DEFAULT), 1, "delivered", ["rounds_mismatch"]),
+        (BOUNCE, figure1_walk(*SHORTCUT), 1, "delivered", []),
+    ], ids=["dropped", "final-loops", "leaves-initial-edges", "crosses-an-edge-more-often",
+            "loop-left-as-it-was", "simple-walk-took-a-round", "clean-shortcut"])
+    def test_verdict_and_violations(self, figure1, initial, final, rounds, verdict,
+                                    violations):
+        first = figure1_walk(*initial)
+        edges = first.directed_edges() + final.directed_edges()
+        assert all(figure1.has_link(u, v) for u, v in edges)
+        fp = FixpointResult(traces=[first, final], rounds=rounds)
+        case = CaseResult(flow_id="S->D", failure="link:S2-S4", verdict="")
+        analysis._check_case(case, fp)
+        assert (case.verdict, case.violations) == (verdict, violations)
+        assert case.looped_before == (len(set(initial)) < len(initial))
+        assert (case.rounds, case.hops_before, case.hops_after) == (
+            rounds, len(initial) - 1, final.hop_count)
 
 
 SCHEME_COMPILERS = {
@@ -186,7 +233,7 @@ class TestNodeSetsSkipRounds:
         assert case.fixpoint.initial_trace.node_path() == ("1", "2", "3", "4", "0")
         assert (case.rounds, case.hops_before, case.hops_after) == (0, 4, 4)
         assert case.fixpoint.all_changes() == []
-        assert case.violations == [] and case.rounds_as_expected is True
+        assert case.violations == []
 
 
 class TestSweepUndo:
@@ -356,7 +403,7 @@ class TestFailureFreeReuse:
         report = run_failure_sweep(t, compile_state, flows, failure_sets)
         reference = reference_cases(t, compile_state, flows, failure_sets)
         assert_matches_reference(report.cases, reference)
-        assert all(c.rounds_as_expected is True
+        assert all("rounds_mismatch" not in c.violations
                    for c in report.cases if c.verdict == "delivered")
         assert len({id(case.fixpoint) for case in report.cases}) < len(report.cases) / 2
 

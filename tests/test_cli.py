@@ -259,6 +259,16 @@ class TestRunCommand:
              "flows[1] repeats flow id 'S->D'"),
             ("flows", [{"source": "S", "destination": "D", "weight": 2}],
              "unknown flows[0] fields: ['weight']"),
+            ("flows", [{"source": "S", "destination": "D", "flow_id": ["x"]}],
+             "flows[0].flow_id must be a non-empty string, got ['x']"),
+            ("flows", [{"source": "S", "destination": "D", "flow_id": {"a": 1}}],
+             "flows[0].flow_id must be a non-empty string, got {'a': 1}"),
+            ("flows", [{"source": "S", "destination": "D", "flow_id": 0}],
+             "flows[0].flow_id must be a non-empty string, got 0"),
+            ("flows", [{"source": "S", "destination": "D", "flow_id": False}],
+             "flows[0].flow_id must be a non-empty string, got False"),
+            ("flows", [{"source": "S", "destination": "D", "flow_id": ""}],
+             "flows[0].flow_id must be a non-empty string, got ''"),
             ("flows", [{"source": "S", "destination": "D"}, {"source": "H", "destination": "D"}],
              "scheme.paths: path ('S', 'S1', 'S2', 'S4', 'D') does not join the flow endpoints"),
         ],
@@ -266,7 +276,8 @@ class TestRunCommand:
              "throughput-zero", "throughput-false", "throughput-empty-string",
              "throughput-empty-list", "output-dir-number", "topology-int-word",
              "topology-fraction", "topology-bool", "topology-bool-p", "topology-unknown-key",
-             "flows-duplicate", "flows-unknown-key", "paths-miss-a-flow"],
+             "flows-duplicate", "flows-unknown-key", "flow-id-list", "flow-id-object",
+             "flow-id-zero", "flow-id-false", "flow-id-empty", "paths-miss-a-flow"],
     )
     def test_wrong_shape_names_the_field(self, runner, tmp_path, field, value, message):
         cfg = figure1_config()
@@ -491,17 +502,17 @@ class TestVerifyCommand:
         # The walk 1-2-3-0 is delivered and simple, so it needs no round.
         (case,) = cli._load_and_sweep(path, None, None, str(outdir))[1].cases
         assert (case.rounds, case.hops_before, case.hops_after) == (0, 3, 3)
-        assert case.violations == [] and case.rounds_as_expected is True
+        assert case.violations == []
 
         (case,) = cli._load_and_sweep(path, "0,1", None, str(outdir))[1].cases
-        assert case.rounds_as_expected is True
+        assert case.violations == []
         (case,) = cli._load_and_sweep(path, "node:3", None, str(outdir))[1].cases
-        assert case.rounds_as_expected is True
+        assert case.violations == []
         cfg["failures"] = {"kind": "sweep_nodes"}
         report = cli._load_and_sweep(write_config(tmp_path, "nodes.json", cfg), None, None,
                                      str(outdir))[1]
-        assert [(c.failure, c.rounds_as_expected) for c in report.cases] == [
-            ("node:2", True), ("node:3", True)]
+        assert [(c.failure, c.violations) for c in report.cases] == [
+            ("node:2", []), ("node:3", [])]
 
     @pytest.mark.parametrize("command", ["run", "verify"])
     def test_run_lists_no_case_and_verify_builds_none(self, runner, tmp_path, monkeypatch,
@@ -616,6 +627,12 @@ class TestTimelineCommand:
              "throughput.background_flows[1] repeats flow id 'S2->H'"),
             ("background_flows", [{**FIGURE1_BACKGROUND, "rate": 1}],
              "unknown throughput.background_flows[0] fields: ['rate']"),
+            ("background_flows", [{**FIGURE1_BACKGROUND, "flow_id": ["x"]}],
+             "throughput.background_flows[0].flow_id must be a non-empty string, got ['x']"),
+            ("background_flows", [{**FIGURE1_BACKGROUND, "flow_id": 7}],
+             "throughput.background_flows[0].flow_id must be a non-empty string, got 7"),
+            ("background_flows", [{**FIGURE1_BACKGROUND, "flow_id": None}],
+             "throughput.background_flows[0].flow_id must be a non-empty string, got None"),
             ("background_flows", [{**FIGURE1_BACKGROUND, "route": ["S2", "S1"]}],
              "throughput.background_flows[0].route must be a list of nodes from source to "
              "destination"),
@@ -623,7 +640,8 @@ class TestTimelineCommand:
         ids=["capacity-key-without-comma", "capacity-rate-word", "capacity-rate-boolean",
              "horizon-word", "sample-step-boolean", "control-plane-delay-boolean",
              "unknown-key", "background-repeated",
-             "background-unknown-key", "background-route-misses-destination"],
+             "background-unknown-key", "background-flow-id-list", "background-flow-id-number",
+             "background-flow-id-null", "background-route-misses-destination"],
     )
     def test_bad_throughput_value_names_the_field(self, runner, tmp_path, field, value, message):
         cfg = figure1_config()
@@ -673,6 +691,14 @@ class TestTimelineCommand:
                 ScenarioConfig.from_dict(cfg)
             assert str(exc.value) == (
                 "throughput.background_flows[1] repeats flow id 'S->D' of flows")
+
+    def test_a_given_flow_id_names_the_flow(self):
+        cfg = figure1_config()
+        cfg["flows"][0]["flow_id"] = "primary"
+        cfg["throughput"]["background_flows"][0]["flow_id"] = "S->D"
+        config = ScenarioConfig.from_dict(cfg)
+        assert [flow.flow_id for flow in config.flows] == ["primary"]
+        assert [flow.flow_id for flow, _ in config.background] == ["S->D"]
 
     def test_empty_throughput_means_defaults(self, runner, tmp_path):
         cfg = figure1_config()

@@ -8,18 +8,21 @@ sweeps that exercise greedy bounce-backs (hypercube(3)) and cross-partition
 truncation (k=2 on torus(3,3)), a node sweep (arborescence k=4 on
 torus(4,4); every failure set is rounds-checked, not only single links),
 and an all-pairs timeline on torus(4,4) with mixed link rates, a
-background flow and a ragged horizon.
+background flow and a ragged horizon. The names the package exports are
+pinned here too.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import types
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import frrsim
 from frrsim import build_topology
 from frrsim.cli import main
 
@@ -156,3 +159,25 @@ def test_outputs_match_golden_digests(scenario, command, tmp_path):
     expected_code, _ = RUNS[(scenario, command)]
     assert code == expected_code
     assert digests == GOLDEN[(scenario, command)]
+
+
+# The names ``import frrsim`` exports; a change to the API changes this tuple.
+PUBLIC_NAMES = (
+    "Arborescence", "CaseResult", "DecompositionError", "FailureSet", "FixpointResult", "Flow",
+    "ForwardingState", "GreedyDag", "Hop", "Outcome", "PartitionScheme", "PortTable",
+    "RuleChange", "SweepReport", "Timeline", "Topology", "Trace", "TraceStats",
+    "build_greedy_dag", "build_topology", "compile_arborescence_frr", "compile_greedy_frr",
+    "compile_partition_frr", "compute_disjoint_paths", "convergence_timeline",
+    "decompose_arborescences", "edge_connectivity", "enumerate_link_failures",
+    "enumerate_node_failures", "figure1_topology", "greedy_shortcut", "link_loads",
+    "maxmin_throughput", "observe_and_truncate", "partition_shortcut", "route",
+    "run_failure_sweep", "shortcut_fixpoint", "shortest_path_length", "shortest_route",
+    "stretch", "trace_stats",
+)
+
+
+def test_package_exports_the_pinned_names():
+    # submodules become package attributes once imported anywhere, so skip them
+    names = sorted(name for name, value in vars(frrsim).items()
+                   if not name.startswith("_") and not isinstance(value, types.ModuleType))
+    assert tuple(names) == PUBLIC_NAMES

@@ -3,6 +3,7 @@ from __future__ import annotations
 import itertools
 import json
 import random
+import re
 
 import networkx as nx
 import pytest
@@ -117,6 +118,37 @@ class TestGenerators:
         path.write_text("{nodes:")
         with pytest.raises(ValueError, match="parse"):
             Topology.from_file(str(path))
+
+    @pytest.mark.parametrize("doc,message", [
+        ({"nodes": "abc", "links": []}, "nodes must be a list of node names, got 'abc'"),
+        ({"nodes": {"a": 1, "b": 2}, "links": []},
+         "nodes must be a list of node names, got {'a': 1, 'b': 2}"),
+        ({"nodes": ["a", None], "links": []}, "nodes must be a list of node names"),
+        ({"nodes": ["a", True], "links": []}, "nodes must be a list of node names"),
+        ({"nodes": ["a", "b"], "links": {"a": "b"}}, "links must be a list, got {'a': 'b'}"),
+        ({"nodes": ["a", "b"], "links": ["ab"]},
+         "links[0] must be a pair of node names, got 'ab'"),
+        ({"nodes": ["a", "b", "c"], "links": [["a", "b"], ["a", "b", "c"]]},
+         "links[1] must be a pair of node names, got ['a', 'b', 'c']"),
+        ({"nodes": ["a", "b"], "links": [{"a": 1, "b": 2}]}, "links[0] must be a pair"),
+        ({"nodes": ["a", "b"], "links": [["a", "b"]], "name": "x"},
+         "needs the fields nodes and links and no others, got ['links', 'name', 'nodes']"),
+        ({"nodes": ["a", "b"]}, "needs the fields nodes and links and no others, got ['nodes']"),
+        (["a", "b"], "needs the fields nodes and links and no others, got list"),
+    ], ids=["nodes-string", "nodes-object", "node-null", "node-boolean", "links-object",
+            "link-string", "link-triple", "link-object", "unknown-key", "no-links", "list"])
+    def test_malformed_document_names_the_field(self, tmp_path, doc, message):
+        expected = "^malformed topology document: " + re.escape(message)
+        with pytest.raises(ValueError, match=expected):
+            Topology.from_dict(doc)
+        path = tmp_path / "topo.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=expected):
+            build_topology({"kind": "from_file", "path": str(path)})
+
+    def test_numeric_node_names_become_strings(self):
+        doc = {"nodes": [0, 1, 2.5], "links": [[0, 1], (1, 2.5)]}
+        assert Topology.from_dict(doc) == Topology(["0", "1", "2.5"], [("0", "1"), ("1", "2.5")])
 
     @pytest.mark.parametrize("desc", ["figure1", "complete(4)", "torus(3,3)", "hypercube(2)"])
     def test_generated_topologies_are_connected(self, desc):
