@@ -261,16 +261,22 @@ def _check_case(case: CaseResult, fp: FixpointResult) -> None:
         case.violations.append("not_delivered")
         return
     case.verdict = "delivered"
-    if not final.is_simple():
-        case.violations.append("not_simple")
-    loads0 = link_loads([initial])
-    loads1 = link_loads([final])
-    if not loads1.keys() <= loads0.keys():
-        case.violations.append("not_subpath")
-    if any(loads1.get(e, 0) > n for e, n in loads0.items()):
-        case.violations.append("load_increase")
-    if case.looped_before and all(loads1.get(e, 0) >= n for e, n in loads0.items()):
-        case.violations.append("load_not_reduced")
+    if len(fp.traces) == 1:
+        # the walk is its own final walk: on its own edges, with the same
+        # loads, so it is simple and lighter exactly when it did not loop
+        if case.looped_before:
+            case.violations += ["not_simple", "load_not_reduced"]
+    else:
+        if not final.is_simple():
+            case.violations.append("not_simple")
+        loads0 = link_loads([initial])
+        loads1 = link_loads([final])
+        if not loads1.keys() <= loads0.keys():
+            case.violations.append("not_subpath")
+        if any(loads1.get(e, 0) > n for e, n in loads0.items()):
+            case.violations.append("load_increase")
+        if case.looped_before and all(loads1.get(e, 0) >= n for e, n in loads0.items()):
+            case.violations.append("load_not_reduced")
     if fp.rounds != (1 if case.looped_before else 0):
         case.violations.append("rounds_mismatch")
 
@@ -283,14 +289,14 @@ def run_failure_sweep(
 ) -> SweepReport:
     """Run the shortcut fixpoint for every (flow, failure) pair and verify it.
 
-    ``compile_state`` returns the pristine state for a flow; it is called
-    once per flow and its result is never modified. The flow's cases share
-    one working copy: after each case, the rule changes its fixpoint
-    recorded are undone in reverse order, and a case that raised before
-    its fixpoint returned gets a fresh copy instead. Cases where the base
-    reroute already fails to deliver are reported as frr_failed and
-    excluded from the guarantee checks; an exception is recorded as the
-    case's verdict.
+    ``compile_state`` returns the pristine state for a flow. It is called
+    once per flow and again after a case that raised, and the flow's cases
+    run on the state it returned: after each case, the rule changes its
+    fixpoint recorded are undone in reverse order, which restores that
+    state, and a case that raised before its fixpoint returned is followed
+    by a fresh state instead. Cases where the base reroute already fails to
+    deliver are reported as frr_failed and excluded from the guarantee
+    checks; an exception is recorded as the case's verdict.
 
     Every delivered case is also held to the one-round guarantee, whatever
     its failure set: one truncating round if its initial walk looped, none
@@ -310,13 +316,20 @@ def run_failure_sweep(
     nothing failed raises, drops, needs a round or violates a guarantee,
     every case of the flow runs its own fixpoint.
 
+    The failure sets are indexed by element: each node and each link maps
+    to the indices of the sets that fail it. A flow skips the sets of its
+    two endpoints, runs the sets of its template walk's nodes and links,
+    in index order, and reuses every other set without visiting it.
+
     A reused case keeps the template's stretch when it is 1.0, that is when
     the walk's hop count h is the failure-free distance: the walk survives,
     so the residual distance is at most h, and removing links lengthens no
-    path, so it is at least h. Every other stretch looks up a residual
-    distance. The residual graph of a failure set (the topology itself for
-    nothing failed) is built once per sweep, and its distances to a
-    destination once per (failure set, destination).
+    path, so it is at least h. Otherwise a reused case looks up a residual
+    distance only if its set fails a node or link of one failure-free
+    shortest path from the source; a set that misses that path leaves the
+    distance, and so the stretch, as it was. The residual graph of a failure
+    set (the topology itself for nothing failed) is built once per sweep,
+    and its distances to a destination once per (failure set, destination).
 
     The report (see ``SweepReport``) holds, per flow, the template, the
     cases that ran their own fixpoint, and the indices of the failure sets
@@ -333,6 +346,17 @@ def run_failure_sweep(
     # keyed by index into failure_sets, None for nothing failed
     residuals: dict[int | None, Mapping[str, Sequence[str]]] = {None: topology.arc_adjacency()}
     distances: dict[tuple[int | None, str], dict[str, int]] = {}
+    failing: dict[str | tuple[str, str], list[int]] = {}  # element -> sets that fail it
+    for index, failures in enumerate(failure_sets):
+        for element in itertools.chain(failures.failed_nodes, failures.failed_links):
+            failing.setdefault(element, []).append(index)
+
+    def hit(path: Sequence[str]) -> set[int]:
+        """The indices of the sets that fail a node or a link of ``path``."""
+        found = set()
+        for element in itertools.chain(path, map(canon_link, path, path[1:])):
+            found.update(failing.get(element, ()))
+        return found
 
     def distance(index: int | None, flow: Flow) -> int | None:
         key = (index, flow.destination)
@@ -342,8 +366,18 @@ def run_failure_sweep(
             distances[key] = bfs_distances(residuals[index], flow.destination)
         return distances[key].get(flow.source)
 
+    def shortest_path(flow: Flow) -> list[str]:
+        """The failure-free shortest path from the source that takes the
+        first neighbour one hop nearer at each node."""
+        near, adjacency = distances[(None, flow.destination)], residuals[None]
+        path = [flow.source]
+        while path[-1] != flow.destination:
+            step = near[path[-1]] - 1
+            path.append(next(v for v in adjacency[path[-1]] if near.get(v) == step))
+        return path
+
     def run_case(case: CaseResult, flow: Flow, failures: FailureSet, index: int | None,
-                 state: ForwardingState, base: ForwardingState) -> ForwardingState:
+                 state: ForwardingState) -> ForwardingState:
         """Run, check and measure one case; return the state for the flow's next case."""
         fp = None
         try:
@@ -362,45 +396,46 @@ def run_failure_sweep(
             case.error = f"{type(exc).__name__}: {exc}"
             case.violations.append("exception")
         if fp is None:
-            return base.copy()
+            return compile_state(flow)
         revert_changes(state, fp.all_changes())
         return state
 
+    every = range(len(failure_sets))
     for flow in flows:
-        base = compile_state(flow)
         template = CaseResult(flow_id=flow.flow_id, failure="", verdict="")
-        state = run_case(template, flow, FailureSet(), None, base.copy(), base)
+        state = run_case(template, flow, FailureSet(), None, compile_state(flow))
         reusable = template.verdict == "delivered" and not (template.rounds or template.violations)
-        if reusable:
-            walk = template.fixpoint.final_trace
-            path = walk.node_path()
-            nodes = frozenset(path)
-            links = frozenset(canon_link(u, v) for u, v in zip(path, path[1:]))
         record = _FlowCases(flow.flow_id, template if reusable else None)
         report._flows.append(record)
-        for index, failures in enumerate(failure_sets):
-            if flow.source in failures.failed_nodes or (
-                flow.destination in failures.failed_nodes
-            ):
-                continue
-            if reusable and failures.failed_nodes.isdisjoint(nodes) and (
-                failures.failed_links.isdisjoint(links)
-            ):
-                ratio = template.stretch_before
-                if ratio != 1.0:
-                    ratio = _over_optimal(walk, distance(index, flow))
-                if ratio == template.stretch_before:
-                    record.reused.append(index)
-                else:
+        skipped = {*failing.get(flow.source, ()), *failing.get(flow.destination, ())}
+        if reusable:
+            walk = template.fixpoint.final_trace
+            fresh = hit(walk.node_path())
+            visit = fresh
+            if template.stretch_before != 1.0:
+                visit = fresh | hit(shortest_path(flow))
+            visit = sorted(visit - skipped)
+            reused = bytearray(b"\1") * len(failure_sets)
+            for index in itertools.chain(skipped, fresh):
+                reused[index] = 0
+        else:
+            fresh, visit = every, [index for index in every if index not in skipped]
+        for index in visit:
+            if index not in fresh:
+                ratio = _over_optimal(walk, distance(index, flow))
+                if ratio != template.stretch_before:
+                    reused[index] = 0
                     record.hold(index, replace(
                         template, failure=labels[index], stretch_before=ratio,
                         stretch_after=ratio, violations=[]))
                 continue
             case = CaseResult(flow_id=flow.flow_id, failure=labels[index], verdict="")
-            state = run_case(case, flow, failures, index, state, base)
+            state = run_case(case, flow, failure_sets[index], index, state)
             for kind in case.violations:
                 violations[kind] = violations.get(kind, 0) + 1
             record.hold(index, case)
+        if reusable:
+            record.reused = array("i", itertools.compress(every, reused))
     return report
 
 

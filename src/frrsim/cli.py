@@ -30,7 +30,7 @@ from .forwarding import ForwardingState
 from .forwarding import route as route_packet
 from .shortcut import shortcut_fixpoint
 from .topology import (FailureSet, Flow, Topology, build_topology, edge_connectivity,
-                       shortest_routes)
+                       node_names, shortest_routes)
 
 ENV_OUTPUT_DIR = "FRRSIM_OUTPUT_DIR"
 
@@ -64,10 +64,6 @@ def _object(value, name: str, fields: set[str] | dict | None = None,
     if not all(key in value for key in required):
         raise ConfigError(f"{name} needs {', '.join(required[:-1])} and {required[-1]}")
     return value
-
-
-def _is_name_list(value) -> bool:
-    return isinstance(value, (list, tuple)) and all(isinstance(v, str) for v in value)
 
 
 def _number(value, name: str) -> Fraction:
@@ -161,16 +157,20 @@ def _flows(raw, name: str, topology: Topology, routed: bool = False) -> tuple:
         if "flow_id" in entry and not (isinstance(flow_id, str) and flow_id):
             raise ConfigError(f"{name}[{i}].flow_id must be a non-empty string, got {flow_id!r}")
         with _named(f"{name}[{i}]: "):
-            flow = Flow(str(entry["source"]), str(entry["destination"]), flow_id)
+            flow = Flow(*node_names([entry["source"], entry["destination"]],
+                                    "source and destination", pair=True), flow_id)
             flow.validate(topology)
         if flow.flow_id in flows:
             raise ConfigError(f"{name}[{i}] repeats flow id {flow.flow_id!r}")
-        route = entry.get("route")
-        if routed and not (_is_name_list(route) and route and (route[0], route[-1]) == (
-                flow.source, flow.destination)):
+        if not routed:
+            flows[flow.flow_id] = flow
+            continue
+        with _named(""):
+            route = tuple(node_names(entry["route"], f"{name}[{i}].route"))
+        if not (route and (route[0], route[-1]) == (flow.source, flow.destination)):
             raise ConfigError(
                 f"{name}[{i}].route must be a list of nodes from source to destination")
-        flows[flow.flow_id] = (flow, tuple(route)) if routed else flow
+        flows[flow.flow_id] = flow, route
     return tuple(flows.values())
 
 
@@ -190,10 +190,9 @@ def _scheme(raw, topology: Topology, flows: tuple[Flow, ...]):
         return kind, k, None
     if not isinstance(paths, (list, tuple)):
         raise ConfigError("scheme.paths must be a list")
-    for i, path in enumerate(paths):
-        if not _is_name_list(path):
-            raise ConfigError(f"scheme.paths[{i}] must be a list of node names")
-    paths = tuple(tuple(p) for p in paths)
+    with _named(""):
+        paths = tuple(tuple(node_names(path, f"scheme.paths[{i}]"))
+                      for i, path in enumerate(paths))
     with _named("scheme.paths: "):
         for flow in flows:
             frr.PartitionScheme(flow=flow, paths=paths, relaxed=True).validate(topology)
@@ -208,17 +207,16 @@ def _failures(raw, topology: Topology, flows: tuple[Flow, ...]) -> FailureSet | 
     links, nodes = raw.get("links", []), raw.get("nodes", [])
     if not isinstance(links, (list, tuple)):
         raise ConfigError("failures.links must be a list")
-    for i, link in enumerate(links):
-        if not _is_name_list(link) or len(link) != 2:
-            raise ConfigError(f"failures.links[{i}] must be a pair of node names")
-    if not _is_name_list(nodes):
-        raise ConfigError("failures.nodes must be a list of node names")
+    with _named(""):
+        links = [node_names(link, f"failures.links[{i}]", pair=True)
+                 for i, link in enumerate(links)]
+        nodes = node_names(nodes, "failures.nodes")
     for i, node in enumerate(nodes):
         for j, flow in enumerate(flows):
             if node in (flow.source, flow.destination):
                 raise ConfigError(f"failures.nodes[{i}] {node!r} is an endpoint "
                                   f"of flows[{j}] {flow.flow_id!r}")
-    failures = FailureSet.of(links=[tuple(l) for l in links], nodes=nodes)
+    failures = FailureSet.of(links=links, nodes=nodes)
     with _named("failures: "):
         failures.validate(topology)
     return failures

@@ -22,7 +22,7 @@ most one priority entry per node.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 from .forwarding import MODE_GREEDY, MODE_SUFFIX, ForwardingState, PortTable
@@ -48,6 +48,9 @@ class Arborescence:
 
     root: str
     parent: Mapping[str, str]
+    # compile_arborescence_frr's tables of each list this arborescence heads,
+    # keyed by the ids of the topology and the list's other arborescences
+    _tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def arcs(self) -> set[tuple[str, str]]:
         return {(v, p) for v, p in self.parent.items()}
@@ -329,14 +332,32 @@ def compile_arborescence_frr(
     At every node the priority list is [arb-1 parent edge, arb-2 parent
     edge, ...]; an inport arriving on arborescence i starts its suffix at
     index i, and inports on no arborescence (including injection) start at 1.
+
+    The tables read only the topology and the arborescences, so they are
+    built once per (topology, arborescence list), by identity, and kept on
+    the list's first arborescence for as long as it lives. Each call hands
+    its flow its own copies of them.
     """
     if not arborescences:
         raise ValueError("need at least one arborescence")
-    root = flow.destination
     for arb in arborescences:
-        if arb.root != root:
+        if arb.root != flow.destination:
             raise ValueError("arborescences must be rooted at the flow destination")
     flow.validate(topology)
+    memo = arborescences[0]._tables
+    key = (id(topology), *map(id, arborescences[1:]))
+    if key not in memo:
+        # the value holds what the key's ids name, so no id is reused while it lives
+        memo[key] = topology, arborescences[1:], _arborescence_tables(topology, arborescences)
+    tables = memo[key][2]
+    return ForwardingState(flow, MODE_SUFFIX, {v: table.copy() for v, table in tables.items()})
+
+
+def _arborescence_tables(
+    topology: Topology, arborescences: Sequence[Arborescence]
+) -> dict[str, PortTable]:
+    """The tables of ``compile_arborescence_frr``, for every flow to their root."""
+    root = arborescences[0].root
     first: dict[tuple[str, str], int] = {}  # (child, parent) -> first arborescence
     for i, arb in enumerate(arborescences, start=1):
         for arc in arb.parent.items():
@@ -355,7 +376,7 @@ def compile_arborescence_frr(
         for u in topology.neighbors(v):
             starts[u] = first.get((u, v), 1)
         tables[v] = PortTable(priority, starts)
-    return ForwardingState(flow, MODE_SUFFIX, tables)
+    return tables
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,17 @@ def canon_link(a: str, b: str) -> tuple[str, str]:
     return (a, b) if a <= b else (b, a)
 
 
+def node_names(value, name: str, pair: bool = False) -> list[str]:
+    """The node names of the list ``value`` (of a pair, with ``pair``) as
+    strings: a string stays as it is and a number that is not a boolean
+    becomes its ``str()``. Anything else raises ValueError naming ``name``."""
+    if not (isinstance(value, (list, tuple)) and (not pair or len(value) == 2) and all(
+            isinstance(v, (str, int, float)) and not isinstance(v, bool) for v in value)):
+        raise ValueError(f"{name} must be {'a pair' if pair else 'a list'} of node names, "
+                         f"got {value!r}")
+    return [str(v) for v in value]
+
+
 class Topology:
     """Immutable undirected graph of nodes and links.
 
@@ -96,13 +107,6 @@ class Topology:
     def from_dict(cls, data: Mapping) -> "Topology":
         """The topology of ``{"nodes": [n, ...], "links": [[a, b], ...]}``, a
         document with no other fields; a numeric node name becomes its ``str()``."""
-        def names(value, name: str, pair: bool = False) -> list[str]:
-            if not (isinstance(value, (list, tuple)) and (not pair or len(value) == 2) and all(
-                    isinstance(v, (str, int, float)) and not isinstance(v, bool) for v in value)):
-                raise ValueError(f"malformed topology document: {name} must be "
-                                 f"{'a pair' if pair else 'a list'} of node names, got {value!r}")
-            return [str(v) for v in value]
-
         if not isinstance(data, Mapping) or set(data) != {"nodes", "links"}:
             got = sorted(map(str, data)) if isinstance(data, Mapping) else type(data).__name__
             raise ValueError("malformed topology document: needs the fields nodes and links "
@@ -110,8 +114,10 @@ class Topology:
         links = data["links"]
         if not isinstance(links, (list, tuple)):
             raise ValueError(f"malformed topology document: links must be a list, got {links!r}")
-        return cls(names(data["nodes"], "nodes"),
-                   [tuple(names(link, f"links[{i}]", pair=True)) for i, link in enumerate(links)])
+        prefix = "malformed topology document: "
+        return cls(node_names(data["nodes"], prefix + "nodes"),
+                   [tuple(node_names(link, f"{prefix}links[{i}]", pair=True))
+                    for i, link in enumerate(links)])
 
     @classmethod
     def from_file(cls, path: str) -> "Topology":

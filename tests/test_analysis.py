@@ -48,7 +48,7 @@ from frrsim.forwarding import MODE_SUFFIX, Hop, Trace
 from frrsim.frr import PartitionScheme
 from frrsim.scenarios import FIGURE1_PATHS
 from frrsim.shortcut import FixpointResult
-from frrsim.topology import shortest_path_length
+from frrsim.topology import bfs_distances, shortest_path_length
 
 from test_frr import reference_compile_partition_frr
 
@@ -168,6 +168,39 @@ class TestCheckCase:
         assert case.looped_before == (len(set(initial)) < len(initial))
         assert (case.rounds, case.hops_before, case.hops_after) == (
             rounds, len(initial) - 1, final.hop_count)
+
+    @pytest.fixture
+    def load_calls(self, monkeypatch):
+        calls = []
+        real = analysis.link_loads
+        monkeypatch.setattr(analysis, "link_loads",
+                            lambda traces: calls.append(traces) or real(traces))
+        return calls
+
+    @pytest.mark.parametrize("walk,rounds,verdict,violations", [
+        (figure1_walk("S", "S1", "S2", outcome=Outcome.DROPPED), 0,
+         "shortcut_failed", ["not_delivered"]),
+        (figure1_walk(*DEFAULT), 0, "delivered", []),
+        (figure1_walk(*BOUNCE), 0, "delivered",
+         ["not_simple", "load_not_reduced", "rounds_mismatch"]),
+        (figure1_walk(*DEFAULT), 1, "delivered", ["rounds_mismatch"]),
+        (figure1_walk(*BOUNCE), 1, "delivered", ["not_simple", "load_not_reduced"]),
+    ], ids=["dropped", "simple", "loop-left-as-it-was", "simple-walk-took-a-round",
+            "looped-walk-took-a-round"])
+    def test_one_trace_is_read_once(self, walk, rounds, verdict, violations, load_calls):
+        """A fixpoint of one trace is its own final walk: no loads are counted."""
+        case = CaseResult(flow_id="S->D", failure="link:S2-S4", verdict="")
+        analysis._check_case(case, FixpointResult(traces=[walk], rounds=rounds))
+        assert (case.verdict, case.violations) == (verdict, violations)
+        assert case.looped_before == (not walk.is_simple())
+        assert load_calls == []
+
+    def test_two_traces_that_are_one_object_take_the_general_path(self, load_calls):
+        walk = figure1_walk(*BOUNCE)
+        case = CaseResult(flow_id="S->D", failure="link:S2-S4", verdict="")
+        analysis._check_case(case, FixpointResult(traces=[walk, walk], rounds=1))
+        assert load_calls == [[walk], [walk]]
+        assert case.violations == ["not_simple", "load_not_reduced"]
 
 
 SCHEME_COMPILERS = {
@@ -304,7 +337,12 @@ class TestSweepUndo:
             return real_fixpoint(state, topology, failures, flow)
 
         monkeypatch.setattr(analysis, "shortcut_fixpoint", sabotaging_fixpoint)
-        report = run_failure_sweep(t, compile_state, flows, failure_sets)
+        compiled = []
+        report = run_failure_sweep(
+            t, lambda flow: compiled.append(flow) or compile_state(flow), flows, failure_sets)
+        # once per flow, and once more after the case that raised
+        assert len(compiled) == len(flows) + 1
+        assert compiled[3] == compiled[4] == Flow("0_0", "1_1")
         # Flow 0_0->1_1 walks 0_0-0_1-1_1: after its failure-free fixpoint
         # only the two failures on that walk run a fixpoint of their own,
         # and the fault hits the first of them.
@@ -677,6 +715,70 @@ class TestSweepStretch:
         # clones of one template share its fixpoint, never its violations list
         assert max(Counter(id(case.fixpoint) for case in report.cases).values()) > 1
         assert len({id(case.violations) for case in report.cases}) == len(report.cases)
+
+    def test_mixed_sets_match_the_reference_and_search_only_on_a_shortest_path(
+        self, monkeypatch
+    ):
+        t = build_topology("torus(4,4)")
+        compile_state = SCHEME_COMPILERS["arborescence"](t)
+        flows = all_pairs(t, t.nodes[:5])
+        a, b, c = t.nodes[0], *t.neighbors(t.nodes[0])[:2]
+        two_links = FailureSet.of(links=[(a, b), (a, c)])
+        failure_sets = (enumerate_node_failures(t) + [two_links]
+                        + [FailureSet.of(links=pair) for pair in zip(t.links, t.links[5::3])]
+                        + enumerate_link_failures(t)[::2] + [two_links])
+        searched = []  # (failure set or None for nothing failed, destination, graph id)
+        real_residual, real_bfs = analysis.residual_adjacency, analysis.bfs_distances
+        graphs = {}
+
+        def residual(topology, failures):
+            adj = real_residual(topology, failures)
+            graphs[id(adj)] = failures
+            return adj
+
+        monkeypatch.setattr(analysis, "residual_adjacency", residual)
+        monkeypatch.setattr(analysis, "bfs_distances", lambda adj, source: (
+            searched.append((graphs.get(id(adj)), source, id(adj))) or real_bfs(adj, source)))
+        report = run_failure_sweep(t, compile_state, flows, failure_sets)
+        assert_matches_reference(report.cases,
+                                 reference_cases(t, compile_state, flows, failure_sets))
+        # one search per (residual graph, destination); the set listed twice has two graphs
+        assert len(searched) == len({(graph, source) for _, source, graph in searched})
+
+        walks = failure_free_walks(t, compile_state, flows)
+        by_label = {fs.label(): fs for fs in failure_sets}
+        templates = {flow.flow_id: flow.template for flow in report._flows}
+        fresh, longer, own = set(), set(), 0
+        for case in report.cases:
+            failures = by_label[case.failure]
+            key = (failures, case.flow_id.split("->")[1])
+            if not misses_walk(walks, case, failures):
+                fresh.add(key)
+            elif templates[case.flow_id].stretch_before != 1.0:
+                longer.add((key, case.flow_id))
+                own += case.stretch_before != templates[case.flow_id].stretch_before
+        assert own and len(longer) > own, "reused cases with and without a stretch of their own"
+
+        hops = {v: bfs_distances(t.arc_adjacency(), v) for v in t.nodes}
+        on_shortest = {}  # flow id -> the nodes and links of its shortest paths
+        for flow in flows:
+            d, total = hops[flow.destination], hops[flow.destination][flow.source]
+            nodes = {v for v in t.nodes if hops[flow.source][v] + d[v] == total}
+            links = FailureSet.of(links=[(u, v) for u, v in t.directed_edges()
+                                         if hops[flow.source][u] + 1 + d[v] == total])
+            on_shortest[flow.flow_id] = nodes, links.failed_links
+
+        def on_a_shortest_path(failures, flow_id):
+            nodes, links = on_shortest[flow_id]
+            return failures.failed_nodes & nodes or failures.failed_links & links
+
+        # a reused case searches only if its set fails a node or link of a
+        # failure-free shortest path from its source: others leave the
+        # distance as it was, and some keys are wanted by such cases only
+        wanted = {(failures, source) for failures, source, _ in searched if failures is not None}
+        assert wanted - fresh <= {key for key, flow_id in longer
+                                  if on_a_shortest_path(key[0], flow_id)}
+        assert {key for key, _ in longer} - fresh - wanted
 
     def test_residual_unreachable_is_an_exception_case(self, monkeypatch):
         # A fixpoint blind to the failure delivers over the dead link, so

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -54,6 +55,56 @@ class TestConfig:
             cfg[field] = 1
             with pytest.raises(ConfigError, match=rf"unknown config fields: \['{field}'\]"):
                 ScenarioConfig.from_dict(cfg)
+
+    @staticmethod
+    def numeric_config(tmp_path) -> dict:
+        """complete(4) from a file whose node names are numbers, named by numbers."""
+        graph = tmp_path / "numeric.json"
+        graph.write_text(json.dumps({"nodes": [0, 1, 2, 3], "links": [
+            [0, 1], [0, 2], [0, 3], [1, 2], [1, 3], [2, 3]]}))
+        return {
+            "topology": {"kind": "from_file", "path": str(graph)},
+            "flows": [{"source": 0, "destination": 2}],
+            "scheme": {"kind": "partition", "paths": [[0, 1, 2], [0, 3, 2]]},
+            "failures": {"kind": "explicit", "links": [[0, 1]], "nodes": [3]},
+            "throughput": {"background_flows": [{"source": 1, "destination": 2,
+                                                 "route": [1, 2]}]},
+        }
+
+    def test_numeric_node_names_are_names_everywhere(self, runner, tmp_path):
+        cfg = self.numeric_config(tmp_path)
+        config = ScenarioConfig.from_dict(cfg)
+        assert config.flows == (Flow("0", "2"),)
+        assert config.paths == (("0", "1", "2"), ("0", "3", "2"))
+        assert config.failures == FailureSet.of(links=[("0", "1")], nodes=["3"])
+        assert [route for _, route in config.background] == [("1", "2")]
+        path = write_config(tmp_path, "numeric-config.json", cfg)
+        for command in ("verify", "timeline"):
+            result = runner.invoke(main, [command, path, "--output-dir", str(tmp_path)])
+            assert result.exit_code == 0, result.output
+
+    @pytest.mark.parametrize("path,value,message", [
+        (("failures", "links"), [[True, 1]],
+         "failures.links[0] must be a pair of node names, got [True, 1]"),
+        (("failures", "nodes"), [False],
+         "failures.nodes must be a list of node names, got [False]"),
+        (("scheme", "paths"), [[0, None, 2]],
+         "scheme.paths[0] must be a list of node names, got [0, None, 2]"),
+        (("flows", 0), {"source": True, "destination": 2},
+         "flows[0]: source and destination must be a pair of node names, got [True, 2]"),
+        (("throughput", "background_flows", 0, "route"), [True, 2],
+         "throughput.background_flows[0].route must be a list of node names, got [True, 2]"),
+    ], ids=["link-boolean", "node-boolean", "path-null", "flow-source-boolean",
+            "route-boolean"])
+    def test_a_name_that_is_no_string_or_number_is_rejected(self, tmp_path, path, value,
+                                                            message):
+        cfg = self.numeric_config(tmp_path)
+        parent = cfg
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            ScenarioConfig.from_dict(cfg)
 
     def test_random_topology_requires_seed(self):
         cfg = figure1_config()
@@ -295,8 +346,11 @@ class TestRunCommand:
             ({"kind": "explicit", "links": 5}, "failures.links must be a list"),
             ({"kind": "explicit", "links": [["S2"]]},
              "failures.links[0] must be a pair of node names"),
+            # a number is a node name, as in a topology file; a boolean is not
             ({"kind": "explicit", "links": [["S2", "S4"], ["S1", 3]]},
-             "failures.links[1] must be a pair of node names"),
+             "failures: failed link ('3', 'S1') does not exist"),
+            ({"kind": "explicit", "links": [["S2", "S4"], ["S1", True]]},
+             "failures.links[1] must be a pair of node names, got ['S1', True]"),
             ({"kind": "explicit", "links": [], "nodes": 5}, "failures.nodes must be a list"),
             ({"kind": "explicit", "nodes": [["S2"]]},
              "failures.nodes must be a list of node names"),
@@ -305,7 +359,8 @@ class TestRunCommand:
             ({"kind": "explicit", "links": [], "node": ["S2"]},
              "unknown failures fields: ['node']"),
         ],
-        ids=["links-number", "link-one-node", "link-number-node", "nodes-number",
+        ids=["links-number", "link-one-node", "link-number-node", "link-boolean-node",
+             "nodes-number",
              "node-list", "sweep-with-links", "explicit-unknown-key"],
     )
     def test_wrong_failure_shape_names_the_field(self, runner, tmp_path, failures, message):

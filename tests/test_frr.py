@@ -491,6 +491,91 @@ class TestArborescenceCompile:
                     assert trace.outcome.value == "delivered"
 
 
+def fresh_compile(topology, arborescences, flow):
+    """``compile_arborescence_frr`` on new arborescence objects, whose memo is empty."""
+    fresh = [Arborescence(root=arb.root, parent=dict(arb.parent)) for arb in arborescences]
+    return compile_arborescence_frr(topology, fresh, flow).to_json_dict()
+
+
+class TestArborescenceTableMemo:
+    """The tables are built once per (topology, arborescence list), by
+    identity, and every flow gets copies of its own."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        calls = []
+        real = frr_module._arborescence_tables
+
+        def counting(topology, arborescences):
+            calls.append((topology, list(arborescences)))
+            return real(topology, arborescences)
+
+        monkeypatch.setattr(frr_module, "_arborescence_tables", counting)
+        return calls
+
+    def test_flows_of_one_destination_build_the_tables_once(self, builds):
+        t = build_topology("torus(3,3)")
+        arbs = decompose_arborescences(t, "1_1", 4)
+        flows = [Flow(v, "1_1") for v in t.nodes if v != "1_1"]
+        states = [compile_arborescence_frr(t, arbs, flow) for flow in flows]
+        assert len(builds) == 1
+        assert [state.to_json_dict() for state in states] == [
+            fresh_compile(t, arbs, flow) for flow in flows]
+        tables = [table for state in states for table in state.tables.values()]
+        assert len({id(table) for table in tables}) == len(tables)
+        assert len({id(table.inport_start) for table in tables}) == len(tables)
+        assert len({id(table.priority) for table in tables}) == len(tables)
+
+    def test_a_truncation_reaches_no_other_flow_and_no_later_compile(self):
+        t = build_topology("torus(3,3)")
+        arbs = decompose_arborescences(t, "0_0", 4)
+        first, second = Flow("1_1", "0_0"), Flow("2_2", "0_0")
+        state = compile_arborescence_frr(t, arbs, first)
+        other = compile_arborescence_frr(t, arbs, second)
+        for table in state.tables.values():
+            for inport in table.inport_start:
+                table.inport_start[inport] = len(table.priority) + 1
+            table.priority.reverse()
+        assert other.to_json_dict() == fresh_compile(t, arbs, second)
+        assert compile_arborescence_frr(t, arbs, first).to_json_dict() == fresh_compile(
+            t, arbs, first)
+        assert state.to_json_dict() != fresh_compile(t, arbs, first)
+
+    def test_another_list_or_topology_builds_again(self, builds):
+        t = build_topology("torus(3,3)")
+        flow = Flow("2_1", "0_0")
+        arbs = decompose_arborescences(t, "0_0", 4)
+        twin = build_topology("torus(3,3)")  # equal, but another object
+        assert twin == t and twin is not t
+        lists = [
+            (t, arbs, 1),
+            (t, list(arbs), 0),  # the same arborescences: no build
+            (t, arbs[::-1], 1),
+            (t, arbs[:2], 1),
+            (t, decompose_arborescences(t, "0_0", 4), 1),  # equal, but new objects
+            (twin, arbs, 1),
+            (t, arbs, 0),
+            (twin, arbs, 0),
+        ]
+        for topology, arborescences, built in lists:
+            before = len(builds)
+            state = compile_arborescence_frr(topology, arborescences, flow)
+            assert len(builds) - before == built
+            if built:
+                assert builds[-1][0] is topology
+                assert all(a is b for a, b in zip(builds[-1][1], arborescences, strict=True))
+            assert state.to_json_dict() == fresh_compile(topology, arborescences, flow)
+
+    def test_the_memo_lives_with_the_arborescences(self):
+        t = build_topology("complete(4)")
+        arbs = decompose_arborescences(t, "0", 3)
+        compile_arborescence_frr(t, arbs, Flow("1", "0"))
+        assert len(arbs[0]._tables) == 1
+        assert not arbs[1]._tables and not arbs[2]._tables
+        assert repr(arbs[0]) == f"Arborescence(root='0', parent={arbs[0].parent!r})"
+        assert arbs[0] == Arborescence(root="0", parent=dict(arbs[0].parent))
+
+
 class TestDisjointPaths:
     def test_figure1_single_path_prefers_lexicographic(self, figure1, figure1_flow):
         scheme = compute_disjoint_paths(figure1, figure1_flow, 1)
