@@ -3,8 +3,9 @@
 The sweep engine enumerates failures, runs the shortcut fixpoint for every
 (flow, failure) case, and checks the guarantees the mechanism promises: the
 final route is delivered, is a simple path, uses only directed edges of the
-initial reroute walk, and needed exactly one truncating round if the
-initial walk looped and none if it did not, whatever the failure set.
+initial reroute walk, is that walk's chronological loop erasure, and needed
+exactly one truncating round if the initial walk looped and none if it did
+not, whatever the failure set.
 Violations are data in the report, never exceptions.
 
 Throughput is modelled as fluid max-min fairness over per-direction unit
@@ -25,7 +26,7 @@ import itertools
 import json
 import operator
 from array import array
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Mapping, Sequence, TextIO, TypeVar
 
@@ -86,7 +87,7 @@ ROW_FIELDS = ("flow", "failure", "verdict", "hops_before", "hops_after",
               "stretch_before", "stretch_after", "rounds")
 
 
-@dataclass
+@dataclass(slots=True)
 class CaseResult:
     """Outcome of one (flow, failure) fixpoint run. ``violations`` is the
     only record of a failed guarantee, one kind per guarantee broken."""
@@ -122,16 +123,20 @@ class CaseResult:
 class _FlowCases:
     """One flow's cases in a report, by index: the case objects ``held`` at
     the ascending indices ``held_at``, and ``template``, the flow's case
-    with nothing failed, at each ascending index in ``reused``. A swept
-    report's indices are those of its failure sets, a list-built one's those
-    of the list it was given."""
+    with nothing failed, at ``reused`` more indices. Those are not stored:
+    they are every index below the report's set count that is neither held
+    nor ``skipped`` (the sets that fail an endpoint of the flow). A swept
+    report's indices are those of its failure sets, a list-built one's
+    those of the list it was given, where no case is reused."""
 
-    __slots__ = ("flow_id", "template", "held", "held_at", "reused")
+    __slots__ = ("flow_id", "template", "held", "held_at", "skipped", "reused")
 
     def __init__(self, flow_id: str, template: CaseResult | None = None):
         self.flow_id, self.template = flow_id, template
         self.held: list[CaseResult] = []
-        self.held_at, self.reused = array("i"), array("i")
+        self.held_at = array("i")
+        self.skipped: tuple[int, ...] = ()
+        self.reused = 0
 
     def hold(self, index: int, case: CaseResult) -> None:
         self.held.append(case)
@@ -144,8 +149,9 @@ class _FlowCases:
         compares cases."""
         entries = [(index, case, case.failure) for index, case in zip(self.held_at, self.held)]
         if self.reused:
-            template = self.template
-            entries += [(index, template, labels[index]) for index in self.reused]
+            template, taken = self.template, {*self.held_at, *self.skipped}
+            entries += [(index, template, label) for index, label in enumerate(labels)
+                        if index not in taken]
             entries.sort()
         return entries
 
@@ -154,24 +160,26 @@ def _copies(entries: Iterable[tuple]) -> Iterator[CaseResult]:
     """A new case for each entry of ``_FlowCases.walk``: its case under the
     entry's label, with a ``violations`` list of its own and the same
     ``fixpoint``."""
+    names = [f.name for f in fields(CaseResult) if f.name not in ("failure", "violations")]
     last = None
     for _, case, label in entries:
         if case is not last:  # a template's entries often follow one another
-            last, fields = case, {name: value for name, value in vars(case).items()
-                                  if name not in ("failure", "violations")}
-        yield CaseResult(**fields, failure=label, violations=list(case.violations))
+            last, kept = case, {name: getattr(case, name) for name in names}
+        yield CaseResult(**kept, failure=label, violations=list(case.violations))
 
 
 class SweepReport:
     """Aggregate of a failure sweep; violations are expected to be zero.
 
     The cases are kept per flow (``_FlowCases``): the case objects the
-    report holds, and the indices of the cases that reuse the flow's
-    template. ``SweepReport(cases, violations_by_kind)`` holds each case it
-    is given, one record per run of consecutive cases with one ``flow_id``;
-    ``run_failure_sweep`` fills a report as it runs. ``violations_by_kind``
-    is taken as given; ``total_cases`` and ``frr_failures`` are counted from
-    the records on each read.
+    report holds, and the number of cases that reuse the flow's template,
+    whose indices are derived, not stored. A held trace is a node path (see
+    ``Trace``), so a swept report grows with its held cases and its labels,
+    not with its reused cases. ``SweepReport(cases, violations_by_kind)``
+    holds each case it is given, one record per run of consecutive cases
+    with one ``flow_id``; ``run_failure_sweep`` fills a report as it runs.
+    ``violations_by_kind`` is taken as given; ``total_cases`` and
+    ``frr_failures`` are counted from the records on each read.
 
     ``cases`` (in the order given, or sweep order), ``iter_sorted_cases()``
     and ``sorted_cases`` build new copies on every read, each with its own
@@ -193,7 +201,7 @@ class SweepReport:
 
     @property
     def total_cases(self) -> int:
-        return sum(len(flow.held) + len(flow.reused) for flow in self._flows)
+        return sum(len(flow.held) + flow.reused for flow in self._flows)
 
     @property
     def frr_failures(self) -> int:
@@ -248,6 +256,18 @@ class SweepReport:
         }
 
 
+def loop_erasure(walk: Sequence[str]) -> tuple[str, ...]:
+    """The chronological loop erasure of a walk: on revisiting a node, pop
+    the path back to it."""
+    path: list[str] = []
+    for node in walk:
+        if node in path:
+            del path[path.index(node) + 1:]
+        else:
+            path.append(node)
+    return tuple(path)
+
+
 def _check_case(case: CaseResult, fp: FixpointResult) -> None:
     initial = fp.initial_trace
     final = fp.final_trace
@@ -263,9 +283,10 @@ def _check_case(case: CaseResult, fp: FixpointResult) -> None:
     case.verdict = "delivered"
     if len(fp.traces) == 1:
         # the walk is its own final walk: on its own edges, with the same
-        # loads, so it is simple and lighter exactly when it did not loop
+        # loads, so it is simple, lighter and its own loop erasure exactly
+        # when it did not loop
         if case.looped_before:
-            case.violations += ["not_simple", "load_not_reduced"]
+            case.violations += ["not_simple", "load_not_reduced", "not_loop_erased"]
     else:
         if not final.is_simple():
             case.violations.append("not_simple")
@@ -277,6 +298,8 @@ def _check_case(case: CaseResult, fp: FixpointResult) -> None:
             case.violations.append("load_increase")
         if case.looped_before and all(loads1.get(e, 0) >= n for e, n in loads0.items()):
             case.violations.append("load_not_reduced")
+        if case.looped_before and final.nodes != loop_erasure(initial.nodes):
+            case.violations.append("not_loop_erased")
     if fp.rounds != (1 if case.looped_before else 0):
         case.violations.append("rounds_mismatch")
 
@@ -300,7 +323,8 @@ def run_failure_sweep(
 
     Every delivered case is also held to the one-round guarantee, whatever
     its failure set: one truncating round if its initial walk looped, none
-    otherwise.
+    otherwise. A delivered case whose walk looped must end on that walk's
+    ``loop_erasure``; ``not_loop_erased`` marks one that does not.
 
     Each flow first runs, unreported, the case with nothing failed. If it
     is delivered in 0 rounds with no violation, it is the template of every
@@ -332,11 +356,12 @@ def run_failure_sweep(
     and its distances to a destination once per (failure set, destination).
 
     The report (see ``SweepReport``) holds, per flow, the template, the
-    cases that ran their own fixpoint, and the indices of the failure sets
-    whose case is the template under its own label. A reused case whose
-    stretch differs from the template's is held instead, as a copy of the
-    template with its own label and stretch. Only the violations are
-    counted as the sweep runs, by kind. Every case reused or
+    cases that ran their own fixpoint, the sets it skipped, and the number
+    of failure sets whose case is the template under its own label: every
+    set it neither held nor skipped, so their indices are not stored. A
+    reused case whose stretch differs from the template's is held instead,
+    as a copy of the template with its own label and stretch. Only the
+    violations are counted as the sweep runs, by kind. Every case reused or
     copied from the template shares its ``FixpointResult`` object, so a
     ``CaseResult.fixpoint`` must be treated as read-only.
     """
@@ -410,21 +435,17 @@ def run_failure_sweep(
         skipped = {*failing.get(flow.source, ()), *failing.get(flow.destination, ())}
         if reusable:
             walk = template.fixpoint.final_trace
-            fresh = hit(walk.node_path())
+            fresh = hit(walk.nodes)
             visit = fresh
             if template.stretch_before != 1.0:
                 visit = fresh | hit(shortest_path(flow))
             visit = sorted(visit - skipped)
-            reused = bytearray(b"\1") * len(failure_sets)
-            for index in itertools.chain(skipped, fresh):
-                reused[index] = 0
         else:
             fresh, visit = every, [index for index in every if index not in skipped]
         for index in visit:
             if index not in fresh:
                 ratio = _over_optimal(walk, distance(index, flow))
                 if ratio != template.stretch_before:
-                    reused[index] = 0
                     record.hold(index, replace(
                         template, failure=labels[index], stretch_before=ratio,
                         stretch_after=ratio, violations=[]))
@@ -435,7 +456,9 @@ def run_failure_sweep(
                 violations[kind] = violations.get(kind, 0) + 1
             record.hold(index, case)
         if reusable:
-            record.reused = array("i", itertools.compress(every, reused))
+            # held and skipped sets are disjoint; every other set is reused
+            record.skipped = tuple(skipped)
+            record.reused = len(failure_sets) - len(record.held) - len(skipped)
     return report
 
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable
+from typing import Callable, Iterable
 
 from .topology import FailureSet, Flow, Topology
 
@@ -34,7 +34,7 @@ class Outcome(str, Enum):
     LOOP = "loop"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Hop:
     node: str
     inport: str | None
@@ -42,46 +42,95 @@ class Hop:
     index: int | None = field(default=None, compare=False)  # from ``select``
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Trace:
-    """The walk a probe packet took, plus its terminal outcome."""
+    """The walk a probe packet took, plus its terminal outcome.
+
+    A trace stores its walk as ``nodes``, the nodes in visiting order, and
+    ``indices``, the ``select`` priority index of each hop. Hop i left
+    ``nodes[i]`` for ``nodes[i + 1]``; it entered from ``nodes[i - 1]``, or
+    from the injection inport when i = 0, so ``final_node`` is
+    ``nodes[-1]``. ``hops`` builds the ``Hop`` objects on each read.
+
+    ``Trace(flow_id, hops, outcome, final_node, loop_inport)`` takes the
+    hops of a walk. It rejects, naming the hop, a hop that does not leave
+    the node the previous hop entered or whose inport is not the previous
+    hop's node (the injection inport for the first hop), and a
+    ``final_node`` that is not the last hop's outport. Equality and hash
+    ignore ``indices``, as ``Hop``'s ignore ``index``.
+    """
 
     flow_id: str
-    hops: tuple[Hop, ...]
+    nodes: tuple[str, ...]
     outcome: Outcome
-    final_node: str
-    loop_inport: str | None = None
+    loop_inport: str | None
+    indices: tuple[int | None, ...] = field(compare=False, repr=False)
+
+    def __init__(self, flow_id: str, hops: Iterable[Hop], outcome: Outcome,
+                 final_node: str, loop_inport: str | None = None):
+        hops = tuple(hops)
+        nodes = [hop.node for hop in hops[:1]] + [hop.outport for hop in hops] or [final_node]
+        for i, hop in enumerate(hops):
+            step = Hop(nodes[i], nodes[i - 1] if i else INJECT, nodes[i + 1])
+            if hop != step:  # ignores the index
+                raise ValueError(f"hop {i} is {hop!r}, not the walk's next step {step!r}")
+        if final_node != nodes[-1]:
+            raise ValueError(f"final_node {final_node!r} is not {nodes[-1]!r}, "
+                             f"the outport of hop {len(hops) - 1}")
+        self._store(flow_id, nodes, [hop.index for hop in hops], outcome, loop_inport)
+
+    @classmethod
+    def _walk(cls, flow_id: str, nodes: list[str], indices: list[int | None],
+              outcome: Outcome, loop_inport: str | None = None) -> "Trace":
+        """The trace of a walk ``route`` took; nothing is checked."""
+        trace = object.__new__(cls)
+        trace._store(flow_id, nodes, indices, outcome, loop_inport)
+        return trace
+
+    def _store(self, flow_id, nodes, indices, outcome, loop_inport) -> None:
+        store = object.__setattr__  # the fields are frozen
+        store(self, "flow_id", flow_id)
+        store(self, "nodes", tuple(nodes))
+        store(self, "outcome", outcome)
+        store(self, "loop_inport", loop_inport)
+        store(self, "indices", tuple(indices))
+
+    @property
+    def hops(self) -> tuple[Hop, ...]:
+        nodes = self.nodes
+        return tuple(Hop(nodes[i], nodes[i - 1] if i else INJECT, nodes[i + 1], index)
+                     for i, index in enumerate(self.indices))
+
+    @property
+    def final_node(self) -> str:
+        return self.nodes[-1]
 
     @property
     def hop_count(self) -> int:
-        return len(self.hops)
+        return len(self.nodes) - 1
 
     def node_path(self) -> tuple[str, ...]:
-        if not self.hops:
-            return (self.final_node,)
-        return (self.hops[0].node,) + tuple(h.outport for h in self.hops)
+        return self.nodes
 
     def path_string(self) -> str:
-        return "-".join(self.node_path())
+        return "-".join(self.nodes)
 
     def directed_edges(self) -> list[tuple[str, str]]:
-        return [(h.node, h.outport) for h in self.hops]
+        return list(zip(self.nodes, self.nodes[1:]))
 
     def is_simple(self) -> bool:
-        path = self.node_path()
-        return len(path) == len(set(path))
+        return len(self.nodes) == len(set(self.nodes))
 
     def to_json_dict(self) -> dict:
+        nodes = self.nodes
         return {
             "flow": self.flow_id,
             "outcome": self.outcome.value,
-            "final_node": self.final_node,
+            "final_node": nodes[-1],
             "loop_inport": self.loop_inport,
             "node_path": self.path_string(),
-            "hops": [
-                [h.node, h.inport if h.inport is not None else _INJECT_JSON, h.outport]
-                for h in self.hops
-            ],
+            "hops": [[nodes[i], nodes[i - 1] if i else _INJECT_JSON, nodes[i + 1]]
+                     for i in range(len(nodes) - 1)],
         }
 
 
@@ -198,25 +247,27 @@ def route(
 
     v: str = start
     inport: str | None = INJECT
-    hops: list[Hop] = []
+    nodes: list[str] = [v]
+    indices: list[int | None] = []
     seen: set[tuple[str, str | None]] = set()
     cap = topology.m + 1
     while v != flow.destination:
         key = (v, inport)
         if key in seen:
-            return Trace(flow.flow_id, tuple(hops), Outcome.LOOP, v, loop_inport=inport)
+            return Trace._walk(flow.flow_id, nodes, indices, Outcome.LOOP, inport)
         seen.add(key)
         if v not in state.tables:
             raise ValueError(f"node {v!r} has no forwarding rules for {flow.flow_id!r}")
         sel = state.select(v, inport, failures.link_down)
         if sel is None:
-            return Trace(flow.flow_id, tuple(hops), Outcome.DROPPED, v)
+            return Trace._walk(flow.flow_id, nodes, indices, Outcome.DROPPED)
         out, idx = sel
-        hops.append(Hop(v, inport, out, idx))
-        if len(hops) > cap:
+        nodes.append(out)
+        indices.append(idx)
+        if len(indices) > cap:
             raise RuntimeError("hop cap exceeded; forwarding state is inconsistent")
         v, inport = out, v
-    return Trace(flow.flow_id, tuple(hops), Outcome.DELIVERED, v)
+    return Trace._walk(flow.flow_id, nodes, indices, Outcome.DELIVERED)
 
 
 @dataclass(frozen=True)

@@ -16,11 +16,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .forwarding import MODE_GREEDY, ForwardingState, Outcome, Trace, route
+from .forwarding import INJECT, MODE_GREEDY, ForwardingState, Outcome, Trace, route
 from .topology import FailureSet, Flow, Topology
 
 
-@dataclass
+@dataclass(slots=True)
 class NodeObservation:
     """What one node saw of a trace: inports entered, deepest exit taken.
 
@@ -40,7 +40,7 @@ class NodeObservation:
 Observations = dict[str, NodeObservation]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RuleChange:
     """One audit record: an inport's suffix start moved."""
 
@@ -74,11 +74,12 @@ def revert_changes(state: ForwardingState, changes: list[RuleChange]) -> None:
 def _observations(trace: Trace) -> Observations:
     """Per-node inports and exits of a trace routed on the current state."""
     obs: Observations = {}
-    for hop in trace.hops:
-        node_obs = obs.setdefault(hop.node, NodeObservation())
-        node_obs.inports.add(hop.inport)
-        if hop.index is not None and (node_obs.deepest is None or hop.index > node_obs.deepest):
-            node_obs.deepest = hop.index
+    nodes = trace.nodes
+    for i, index in enumerate(trace.indices):
+        node_obs = obs.setdefault(nodes[i], NodeObservation())
+        node_obs.inports.add(nodes[i - 1] if i else INJECT)
+        if index is not None and (node_obs.deepest is None or index > node_obs.deepest):
+            node_obs.deepest = index
     return obs
 
 
@@ -162,7 +163,7 @@ def observe_and_truncate(
 partition_shortcut = greedy_shortcut = observe_and_truncate
 
 
-@dataclass
+@dataclass(slots=True)
 class FixpointResult:
     """All traces of a route/observe/truncate iteration, plus round count."""
 
@@ -200,7 +201,7 @@ def shortcut_fixpoint(
     the failure set; sweeps check this for every case, nothing proves it.
 
     Each round is one walk: the step reads the priority indices that
-    ``route`` recorded on the hops. A non-delivered trace at any round is
+    ``route`` recorded with the walk. A non-delivered trace at any round is
     surfaced as the final verdict, not raised. Suffix starts only ever grow,
     so the iteration terminates within the total number of priority entries.
     """

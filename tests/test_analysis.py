@@ -3,6 +3,7 @@ from __future__ import annotations
 import csv
 import gc
 import io
+import tracemalloc
 import types
 from collections import Counter
 from fractions import Fraction
@@ -137,6 +138,9 @@ BOUNCE = ("S", "S1", "S2", "S1", "S3", "S4", "D")
 SHORTCUT = ("S", "S1", "S3", "S4", "D")
 DEFAULT = ("S", "S1", "S2", "S4", "D")
 TWICE = ("S", "S1", "S2", "S1", "S2", "S1", "S3", "S4", "D")
+# circles S1-S3-S4-S2-S1 once: its loop erasure is DEFAULT, not S-S1-S3-S4-D,
+# though that too is a simple path on the walk's edges
+CIRCLE = ("S", "S1", "S3", "S4", "S2", "S1", "S2", "S4", "D")
 
 
 class TestCheckCase:
@@ -147,15 +151,18 @@ class TestCheckCase:
         (BOUNCE, figure1_walk("S", "S1", "S2", outcome=Outcome.DROPPED), 1,
          "shortcut_failed", ["not_delivered"]),
         # loops once where the initial walk looped twice: lighter, but not simple
-        (TWICE, figure1_walk(*BOUNCE), 1, "delivered", ["not_simple"]),
+        (TWICE, figure1_walk(*BOUNCE), 1, "delivered", ["not_simple", "not_loop_erased"]),
         (DEFAULT, figure1_walk(*SHORTCUT), 0, "delivered", ["not_subpath"]),
         (BOUNCE, figure1_walk(*TWICE), 1, "delivered",
-         ["not_simple", "load_increase", "load_not_reduced"]),
-        (BOUNCE, figure1_walk(*BOUNCE), 1, "delivered", ["not_simple", "load_not_reduced"]),
+         ["not_simple", "load_increase", "load_not_reduced", "not_loop_erased"]),
+        (BOUNCE, figure1_walk(*BOUNCE), 1, "delivered",
+         ["not_simple", "load_not_reduced", "not_loop_erased"]),
+        (CIRCLE, figure1_walk(*SHORTCUT), 1, "delivered", ["not_loop_erased"]),
         (DEFAULT, figure1_walk(*DEFAULT), 1, "delivered", ["rounds_mismatch"]),
         (BOUNCE, figure1_walk(*SHORTCUT), 1, "delivered", []),
     ], ids=["dropped", "final-loops", "leaves-initial-edges", "crosses-an-edge-more-often",
-            "loop-left-as-it-was", "simple-walk-took-a-round", "clean-shortcut"])
+            "loop-left-as-it-was", "simple-sub-path-not-the-loop-erasure",
+            "simple-walk-took-a-round", "clean-shortcut"])
     def test_verdict_and_violations(self, figure1, initial, final, rounds, verdict,
                                     violations):
         first = figure1_walk(*initial)
@@ -182,9 +189,10 @@ class TestCheckCase:
          "shortcut_failed", ["not_delivered"]),
         (figure1_walk(*DEFAULT), 0, "delivered", []),
         (figure1_walk(*BOUNCE), 0, "delivered",
-         ["not_simple", "load_not_reduced", "rounds_mismatch"]),
+         ["not_simple", "load_not_reduced", "not_loop_erased", "rounds_mismatch"]),
         (figure1_walk(*DEFAULT), 1, "delivered", ["rounds_mismatch"]),
-        (figure1_walk(*BOUNCE), 1, "delivered", ["not_simple", "load_not_reduced"]),
+        (figure1_walk(*BOUNCE), 1, "delivered",
+         ["not_simple", "load_not_reduced", "not_loop_erased"]),
     ], ids=["dropped", "simple", "loop-left-as-it-was", "simple-walk-took-a-round",
             "looped-walk-took-a-round"])
     def test_one_trace_is_read_once(self, walk, rounds, verdict, violations, load_calls):
@@ -200,7 +208,7 @@ class TestCheckCase:
         case = CaseResult(flow_id="S->D", failure="link:S2-S4", verdict="")
         analysis._check_case(case, FixpointResult(traces=[walk, walk], rounds=1))
         assert load_calls == [[walk], [walk]]
-        assert case.violations == ["not_simple", "load_not_reduced"]
+        assert case.violations == ["not_simple", "load_not_reduced", "not_loop_erased"]
 
 
 SCHEME_COMPILERS = {
@@ -518,8 +526,8 @@ class TestFailureFreeReuse:
 
 
 class TestCompactReport:
-    """A sweep keeps reused cases as failure-set indices on their flow's
-    template and builds them only when ``cases`` is read."""
+    """A sweep keeps reused cases as a count on their flow's template and
+    builds them only when ``cases`` is read."""
 
     # summary_dict() of these sweeps when every case was kept as a CaseResult
     SUMMARIES = {
@@ -573,6 +581,43 @@ class TestCompactReport:
         assert held == fresh + reusable + own_stretch
         assert held < report.total_cases / 4
         assert len(report.cases) == report.total_cases
+
+    def test_report_memory_grows_with_held_cases_only(self):
+        """Failure sets that fail no link of any walk add reused cases only,
+        and a reused case costs the report no storage of its own: the report
+        grows by its sets' labels, under a byte per added case, and holds
+        its traces as node paths, with no ``Hop`` object."""
+        torus = build_topology("torus(4,4)")
+        ends = torus.nodes[::4]
+        leaves = [(end, f"leaf{i}") for i, end in enumerate(ends)]
+        t = Topology([*torus.nodes, *(leaf for _, leaf in leaves)], [*torus.links, *leaves])
+        compile_state, flows = SCHEME_COMPILERS["greedy"](t), all_pairs(torus)
+        walked = enumerate_link_failures(torus)
+        unwalked = [FailureSet.of(links=[leaves[i % len(leaves)]]) for i in range(len(walked))]
+
+        def live_hops() -> int:
+            return sum(isinstance(obj, Hop) for obj in gc.get_objects())
+
+        def swept(failure_sets):
+            gc.collect()
+            tracemalloc.start()
+            try:
+                report = run_failure_sweep(t, compile_state, flows, failure_sets)
+                gc.collect()
+                return report, tracemalloc.get_traced_memory()[0]
+            finally:
+                tracemalloc.stop()
+
+        swept(walked)  # first-use caches
+        hops = live_hops()
+        small, small_bytes = swept(walked)
+        large, large_bytes = swept(walked + unwalked)
+        assert live_hops() == hops
+        added = large.total_cases - small.total_cases
+        assert added == len(flows) * len(unwalked)
+        held = sum(len(flow.held) for flow in large._flows)
+        assert held == sum(len(flow.held) for flow in small._flows) < small.total_cases / 4
+        assert large_bytes - small_bytes < added
 
     def test_expansion_equals_the_fresh_fixpoint_per_case(self):
         t = build_topology("torus(3,3)")

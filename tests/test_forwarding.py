@@ -8,18 +8,26 @@ from frrsim import (
     FailureSet,
     Flow,
     ForwardingState,
+    Hop,
     Outcome,
     PortTable,
     Topology,
+    Trace,
+    build_topology,
     compile_arborescence_frr,
     compile_partition_frr,
     decompose_arborescences,
     route,
+    run_failure_sweep,
+    shortcut_fixpoint,
     trace_stats,
 )
+from frrsim.analysis import enumerate_link_failures
 from frrsim.forwarding import MODE_SUFFIX
 from frrsim.frr import PartitionScheme
 from frrsim.scenarios import FIGURE1_PATHS
+
+from test_analysis import SCHEME_COMPILERS, all_pairs
 
 
 @pytest.fixture
@@ -160,6 +168,71 @@ class TestTraceStats:
         # the repeated node never repeats a (node, inport) pair
         pairs = [(h.node, h.inport) for h in trace.hops]
         assert len(pairs) == len(set(pairs))
+
+
+def routed_traces(figure1, figure1_state, figure1_flow) -> list[Trace]:
+    """Every trace of figure1's S->D fixpoint with nothing or one link
+    failed, and every distinct trace of torus(4,4) link sweeps under
+    arborescences and greedy."""
+    traces = []
+    for failures in [FailureSet.none(), *enumerate_link_failures(figure1)]:
+        fp = shortcut_fixpoint(figure1_state.copy(), figure1, failures, figure1_flow)
+        traces += fp.traces
+    torus = build_topology("torus(4,4)")
+    for scheme in ("arborescence", "greedy"):
+        report = run_failure_sweep(torus, SCHEME_COMPILERS[scheme](torus), all_pairs(torus),
+                                   enumerate_link_failures(torus))
+        fixpoints = {id(case.fixpoint): case.fixpoint for case in report.cases}
+        traces += [trace for fp in fixpoints.values() for trace in fp.traces]
+    return traces
+
+
+class TestTraceContract:
+    """A trace stores its node path and priority indices; its hops are a
+    walk rebuilt from them, and its public constructor takes only walks."""
+
+    def test_routed_traces_rebuild_from_their_hops(self, figure1, figure1_state,
+                                                   figure1_flow):
+        traces = routed_traces(figure1, figure1_state, figure1_flow)
+        assert any(t.outcome is Outcome.LOOP for t in traces)
+        assert any(None in t.indices for t in traces)  # a greedy return edge
+        for t in traces:
+            hops = t.hops
+            rebuilt = Trace(t.flow_id, hops, t.outcome, t.final_node, t.loop_inport)
+            assert rebuilt == t and hash(rebuilt) == hash(t)
+            assert (rebuilt.nodes, rebuilt.indices) == (t.nodes, t.indices)
+            assert [h.index for h in hops] == list(t.indices)
+            assert t.node_path() == t.nodes and t.hop_count == len(hops)
+            assert hops[:1] == () or hops[0].inport is None
+            for before, hop in zip(hops, hops[1:]):
+                assert (hop.node, hop.inport) == (before.outport, before.node)
+            assert t.final_node == (hops[-1].outport if hops else t.nodes[0])
+
+    def test_indices_take_no_part_in_equality(self, figure1_state, figure1, figure1_flow,
+                                              s2s4_failure):
+        trace = route(figure1_state, figure1, s2s4_failure, figure1_flow)
+        bare = Trace(trace.flow_id, [Hop(h.node, h.inport, h.outport) for h in trace.hops],
+                     trace.outcome, trace.final_node)
+        assert bare.indices == (None,) * trace.hop_count != trace.indices
+        assert bare == trace and hash(bare) == hash(trace)
+
+    @pytest.mark.parametrize("hops,final_node,message", [
+        ([Hop("S", "H", "S1")], "S1",
+         r"hop 0 is Hop\(node='S', inport='H', .*next step Hop\(node='S', inport=None"),
+        ([Hop("S", None, "S1"), Hop("S1", "S3", "S2")], "S2",
+         r"hop 1 is Hop\(node='S1', inport='S3', .*next step Hop\(node='S1', inport='S'"),
+        ([Hop("S", None, "S1"), Hop("S2", "S", "S4")], "S4",
+         r"hop 1 is Hop\(node='S2', .*next step Hop\(node='S1', inport='S'"),
+        ([Hop("S", None, "S1"), Hop("S1", "S", "S2")], "S1",
+         "final_node 'S1' is not 'S2', the outport of hop 1"),
+    ], ids=["first-inport", "inport", "node", "final-node"])
+    def test_a_hop_sequence_that_is_no_walk_is_refused(self, hops, final_node, message):
+        with pytest.raises(ValueError, match=message):
+            Trace("S->D", hops, Outcome.DELIVERED, final_node)
+
+    def test_a_trace_of_no_hop_ends_where_it_starts(self):
+        trace = Trace("S->D", (), Outcome.DROPPED, "S")
+        assert (trace.nodes, trace.hops, trace.final_node) == (("S",), (), "S")
 
 
 class TestStateSerialization:

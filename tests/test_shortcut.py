@@ -29,7 +29,7 @@ from frrsim import (
     shortcut_fixpoint,
     shortest_route,
 )
-from frrsim.analysis import enumerate_link_failures, enumerate_node_failures
+from frrsim.analysis import enumerate_link_failures, enumerate_node_failures, loop_erasure
 from frrsim.forwarding import MODE_GREEDY, MODE_SUFFIX
 from frrsim.frr import PartitionScheme
 from frrsim.scenarios import FIGURE1_PATHS
@@ -449,22 +449,11 @@ class TestOneWalkPerRound:
         assert rounds > 0
 
 
-def loop_erasure(walk: tuple[str, ...]) -> tuple[str, ...]:
-    """The chronological loop erasure of a walk: on revisiting a node, pop
-    the path back to it."""
-    path: list[str] = []
-    for node in walk:
-        if node in path:
-            del path[path.index(node) + 1:]
-        else:
-            path.append(node)
-    return tuple(path)
-
-
 def test_loop_erasure():
     assert loop_erasure(("S", "A", "B", "A", "C", "S", "D")) == ("S", "D")
     assert loop_erasure(("S", "A", "B", "C", "B", "D")) == ("S", "A", "B", "D")
     assert loop_erasure(("S",)) == ("S",)
+    assert loop_erasure(("S", "A", "B", "A", "C", "B", "D")) == ("S", "A", "C", "B", "D")
 
 
 def test_shortcut_result_is_the_loop_erased_walk_on_small_atlas_graphs():

@@ -131,10 +131,17 @@ names = st.text(alphabet=st.sampled_from(list(AWKWARD) + list("abS-1")), min_siz
 maybe_name = st.none() | names
 small = st.integers(min_value=0, max_value=40)
 
-hops = st.builds(Hop, node=names, inport=maybe_name, outport=names)
+
+def walk_trace(flow_id: str, nodes: list[str], outcome: Outcome,
+               loop_inport: str | None) -> Trace:
+    """The trace of the walk along ``nodes``, each hop entered from the last."""
+    hops = tuple(Hop(u, inport, v) for inport, u, v in zip([None, *nodes], nodes, nodes[1:]))
+    return Trace(flow_id, hops, outcome, nodes[-1], loop_inport)
+
+
 traces = st.builds(
-    Trace, flow_id=names, hops=st.lists(hops, max_size=4).map(tuple),
-    outcome=st.sampled_from(list(Outcome)), final_node=names, loop_inport=maybe_name,
+    walk_trace, flow_id=names, nodes=st.lists(names, min_size=1, max_size=5),
+    outcome=st.sampled_from(list(Outcome)), loop_inport=maybe_name,
 )
 changes = st.builds(
     RuleChange, node=names, inport=maybe_name,
